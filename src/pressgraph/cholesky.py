@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf2 import BitMatrix, gf2_dot
+from .gf2 import BitMatrix, _press
 from .graphs import PseudoGraph
 
 __all__ = [
@@ -70,11 +70,17 @@ class PressingOrder:
     left unpressed ended isolated and loopless, so ``complete`` is True
     on every successful return.  ``first_tie`` is the 1-based step at
     which two looped vertices first shared the maximum degree, or None.
+
+    ``pivot_rows`` holds each pressed row as it was just before its
+    press, in the graph's own columns.  With the columns put in press
+    order, then the unpressed vertices, they are the instructional
+    root's rows; the unpressed vertices' root rows are zero.
     """
 
     permutation: tuple[int, ...]
     complete: bool
     first_tie: int | None = None
+    pivot_rows: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -83,14 +89,6 @@ class CholeskyRoot:
 
     matrix: BitMatrix
     order: tuple[int, ...]
-
-    def weight(self, j: int) -> int:
-        """Integer column sum of column j; odd exactly for looped vertices."""
-        return self.matrix.column(j).weight()
-
-    def dot(self, i: int, j: int) -> int:
-        """GF(2) dot product of columns i and j; equals adjacency (i, j)."""
-        return gf2_dot(self.matrix.column(i), self.matrix.column(j))
 
 
 def instructional_root(
@@ -120,12 +118,8 @@ def instructional_root(
     root = [0] * n
     k = 0
     while k < n and (rows[k] >> k) & 1:
-        piv = rows[k]
-        root[k] = piv
-        bit = 1 << k
-        for i in range(k + 1, n):
-            if rows[i] & bit:
-                rows[i] ^= piv
+        root[k] = rows[k]
+        _press(rows, k, range(k, n))
         k += 1
     for i in range(k, n):
         if rows[i]:
@@ -136,17 +130,18 @@ def instructional_root(
 def find_pressing_order(g: PseudoGraph) -> PressingOrder:
     """Greedy pressing order: max-degree looped vertex, smallest label first.
 
-    Runs on the packed adjacency matrix, pressing in place until no
-    looped vertex remains.  If any edge survives, UnpressableError
-    carries one leftover component.  That failure certifies the graph
-    is not uniquely pressable; it does not rule out a successful
-    sequence along some other order.
+    Presses a copy of the graph's packed rows in place until no looped
+    vertex remains, keeping each pivot row.  If any edge survives,
+    UnpressableError carries one leftover component.  That failure
+    certifies the graph is not uniquely pressable; it does not rule out
+    a successful sequence along some other order.
     """
     labels = g.labels
     n = g.n
-    rows = list(g.adjacency_matrix().row_bits)
+    rows = list(g.rows)
     bits = [1 << i for i in range(n)]
     order: list[int] = []
+    pivots: list[int] = []
     first_tie: int | None = None
     alive = [i for i in range(n) if rows[i]]
     while alive:
@@ -166,34 +161,10 @@ def find_pressing_order(g: PseudoGraph) -> PressingOrder:
         if tied and first_tie is None:
             first_tie = len(order) + 1
         order.append(labels[best])
-        piv = rows[best]
-        b = bits[best]
-        rows[best] = 0
-        still = []
-        for i in alive:
-            if i == best:
-                continue
-            r = rows[i]
-            if r & b:
-                r ^= piv
-                rows[i] = r
-            if r:
-                still.append(i)
-        alive = still
-    if any(rows):
-        alive = [i for i in range(n) if rows[i]]
-        start = alive[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            i = stack.pop()
-            x = rows[i]
-            while x:
-                low = x & -x
-                j = low.bit_length() - 1
-                x ^= low
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        raise UnpressableError(tuple(sorted(labels[i] for i in seen)))
-    return PressingOrder(tuple(order), True, first_tie)
+        pivots.append(rows[best])
+        alive = _press(rows, best, alive)
+    if alive:
+        left = PseudoGraph._from_rows(labels, rows).components()
+        stuck = next(c for c in left if not c.trivial)
+        raise UnpressableError(stuck.labels)
+    return PressingOrder(tuple(order), True, first_tie, tuple(pivots))

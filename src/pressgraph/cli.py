@@ -28,14 +28,14 @@ from .generate import (
     generate_cup,
     total_count,
 )
-from .gf2 import BitMatrix, MatrixFormatError
+from .gf2 import MatrixFormatError
 from .graphs import (
     GraphFormatError,
     InvalidPressError,
     PseudoGraph,
     UnknownVertexError,
+    _parse_matrix,
     detect_format,
-    from_adjacency,
     parse_auto,
     parse_graph,
 )
@@ -46,6 +46,9 @@ from .recognition import (
 )
 
 __all__ = ["main"]
+
+COUNT_MAX_N = 100_000
+"""Largest n that count accepts: about 24,000 digits per number."""
 
 
 def _read_input(path: str) -> str:
@@ -59,12 +62,7 @@ def _load_graph(text: str, fmt: str | None) -> PseudoGraph:
     if fmt == "graph":
         return parse_graph(text)
     if fmt == "matrix":
-        try:
-            return from_adjacency(BitMatrix.from_text(text))
-        except MatrixFormatError as exc:
-            raise GraphFormatError(str(exc)) from None
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+        return _parse_matrix(text)
     return parse_auto(text)
 
 
@@ -139,7 +137,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    sys.stdout.write(f"cup={cup_count(args.n)} total={total_count(args.n)}\n")
+    if args.n > COUNT_MAX_N:
+        raise ValueError(f"count of n={args.n} exceeds bound {COUNT_MAX_N}")
+    # Decimal(int) is exact in any context and, unlike str(int), is not
+    # capped by the interpreter's integer string-conversion limit.  It
+    # is imported here so that other commands do not pay for it.
+    from decimal import Decimal
+
+    cup = Decimal(cup_count(args.n))
+    total = Decimal(total_count(args.n))
+    sys.stdout.write(f"cup={cup} total={total}\n")
     return 0
 
 

@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .gf2 import BitMatrix, transpose_mul
+from .gf2 import BitMatrix, iter_support, transpose_mul
 from .graphs import PseudoGraph, from_adjacency
 from .recognition import OracleBoundError, recognize
 
@@ -123,15 +124,15 @@ def generate_cup(n: int) -> tuple[PseudoGraph, ...]:
         return (PseudoGraph((), frozenset()),)
     current: list[PseudoGraph] = [PseudoGraph((1,), frozenset({(1, 1)}))]
     for _ in range(n - 1):
-        seen: dict[frozenset, PseudoGraph] = {}
+        seen: dict[tuple[int, ...], PseudoGraph] = {}
         for g in current:
             for h in (
                 extend_right(g, check=False),
                 extend_left(shift_labels(g), check=False),
             ):
-                seen[h.edges] = h
+                seen[h.rows] = h
         current = list(seen.values())
-    current.sort(key=lambda g: g.adjacency_matrix().row_bits)
+    current.sort(key=lambda g: g.rows)
     return tuple(current)
 
 
@@ -212,9 +213,14 @@ def all_pseudographs(n: int):
     """Yield every graph on labels 1..n, one per subset of vertex pairs."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    yield from _pseudographs(n, 0, 1 << len(_pairs(n)))
+
+
+def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
+    """The graphs on labels 1..n with pair-mask in [lo, hi)."""
     labels = tuple(range(1, n + 1))
     pairs = _pairs(n)
-    for mask in range(1 << len(pairs)):
+    for mask in range(lo, hi):
         edges = frozenset(
             p for k, p in enumerate(pairs) if (mask >> k) & 1
         )
@@ -223,22 +229,18 @@ def all_pseudographs(n: int):
 
 def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     """Isomorphism invariant: minimal packed adjacency over relabelings."""
-    a = g.adjacency_matrix()
-    n = a.n
-    src = a.row_bits
+    n = g.n
+    supports = [[j - 1 for j in iter_support(r)] for r in g.rows]
     best: tuple[int, ...] | None = None
     for perm in itertools.permutations(range(n)):
         inv = [0] * n
         for t, s in enumerate(perm):
             inv[s] = t
         cand = []
-        for t in range(n):
+        for s in perm:
             bits = 0
-            r = src[perm[t]]
-            while r:
-                low = r & -r
-                r ^= low
-                bits |= 1 << inv[low.bit_length() - 1]
+            for j in supports[s]:
+                bits |= 1 << inv[j]
             cand.append(bits)
         tup = tuple(cand)
         if best is None or tup < best:
@@ -266,23 +268,24 @@ class CensusResult:
 
 def _census_range(args: tuple[int, int, int]) -> tuple[int, dict]:
     """Recognize every pair-mask in [lo, hi); tally the yes graphs."""
-    n, lo, hi = args
-    labels = tuple(range(1, n + 1))
-    pairs = _pairs(n)
     count = 0
     classes: dict[tuple[int, ...], bool] = {}
-    for mask in range(lo, hi):
-        edges = frozenset(
-            p for k, p in enumerate(pairs) if (mask >> k) & 1
-        )
-        g = PseudoGraph(labels, edges)
+    for g in _pseudographs(*args):
         if not recognize(g).verdict:
             continue
         count += 1
         key = canonical_form(g)
         if key not in classes:
-            classes[key] = len(g.components()) == 1 and bool(g.edges)
+            classes[key] = len(g.components()) == 1 and any(g.rows)
     return count, classes
+
+
+def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
+    """Mask ranges for at most min(jobs, masks, CPU count) workers."""
+    total = 1 << len(_pairs(n))
+    workers = min(jobs, total, os.cpu_count() or 1)
+    step = -(-total // workers)
+    return [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
 def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
@@ -291,7 +294,7 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
     Counts labeled uniquely pressable graphs, their isomorphism
     classes, and the connected classes with an edge (the cup cores).
     Refuses n above the size bound; jobs > 1 splits the mask range
-    across processes.
+    across at most min(jobs, CPU count) processes.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -299,19 +302,15 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
         raise OracleBoundError(
             f"census of {n}-vertex graphs exceeds bound {bound}"
         )
-    total = 1 << len(_pairs(n))
     if jobs < 1:
         raise ValueError("jobs must be positive")
-    if jobs == 1:
-        count, classes = _census_range((n, 0, total))
+    chunks = _census_chunks(n, jobs)
+    if len(chunks) == 1:
+        count, classes = _census_range(chunks[0])
     else:
-        step = -(-total // jobs)
-        chunks = [
-            (n, lo, min(lo + step, total)) for lo in range(0, total, step)
-        ]
         count = 0
         classes = {}
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(len(chunks)) as pool:
             for part_count, part_classes in pool.map(_census_range, chunks):
                 count += part_count
                 for key, conn in part_classes.items():

@@ -46,6 +46,26 @@ def iter_support(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def _press(rows: list[int], p: int, live: Iterable[int]) -> list[int]:
+    """XOR row ``p`` into every listed row holding bit ``p``, in place.
+
+    On symmetric rows this is both a press of looped vertex ``p`` and a
+    GF(2) Cholesky elimination step; row ``p`` holds its own bit, so it
+    is cleared too when listed.  Returns the listed rows still nonzero.
+    """
+    piv = rows[p]
+    bit = 1 << p
+    still = []
+    for i in live:
+        r = rows[i]
+        if r & bit:
+            r ^= piv
+            rows[i] = r
+        if r:
+            still.append(i)
+    return still
+
+
 @dataclass(frozen=True)
 class BitRow:
     """A GF(2) row vector of fixed length.

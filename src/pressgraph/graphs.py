@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMatrix, MatrixFormatError, iter_support
+from .gf2 import BitMatrix, _press, iter_support
 
 __all__ = [
     "Edge",
@@ -63,21 +63,23 @@ class Component:
     trivial: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PseudoGraph:
     """An undirected graph with optional loops and no multi-edges.
 
-    ``labels`` is the strictly increasing tuple of vertex labels.
-    ``edges`` holds unordered pairs normalized to (min, max); a loop at
-    v is the pair (v, v).
+    ``labels`` is the strictly increasing tuple of vertex labels.  The
+    graph is stored as packed adjacency ``rows``, one per label: bit j
+    of ``rows[i]`` is set when ``labels[i]`` and ``labels[j]`` are
+    adjacent, and bit i marks a loop at ``labels[i]``.  ``edges`` is a
+    view derived from the rows: unordered pairs normalized to
+    (min, max), a loop at v as the pair (v, v).
     """
 
     labels: tuple[int, ...]
-    edges: frozenset[Edge]
+    rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: Iterable[int], edges: Iterable[Edge]) -> None:
+        labels = tuple(labels)
         prev = 0
         for lab in labels:
             if lab <= prev:
@@ -85,44 +87,62 @@ class PseudoGraph:
                     "labels must be strictly increasing positive integers"
                 )
             prev = lab
-        lset = set(labels)
-        norm = set()
-        for u, v in self.edges:
-            if u not in lset or v not in lset:
+        pos = {lab: i for i, lab in enumerate(labels)}
+        rows = [0] * len(labels)
+        for u, v in edges:
+            if u not in pos or v not in pos:
                 raise UnknownVertexError(f"edge ({u}, {v}) leaves the graph")
-            norm.add((u, v) if u <= v else (v, u))
-        object.__setattr__(self, "edges", frozenset(norm))
+            iu, iv = pos[u], pos[v]
+            rows[iu] |= 1 << iv
+            rows[iv] |= 1 << iu
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @classmethod
+    def _from_rows(
+        cls, labels: tuple[int, ...], rows: Iterable[int]
+    ) -> "PseudoGraph":
+        """Wrap symmetric rows over valid labels, without checking them."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "labels", labels)
+        object.__setattr__(g, "rows", tuple(rows))
+        return g
 
     @property
     def n(self) -> int:
         return len(self.labels)
 
-    def _check_vertex(self, v: int) -> None:
-        if v not in set(self.labels):
-            raise UnknownVertexError(f"no vertex labeled {v}")
+    @property
+    def edges(self) -> frozenset[Edge]:
+        labels = self.labels
+        return frozenset(
+            (labels[i], labels[i + j - 1])
+            for i, r in enumerate(self.rows)
+            for j in iter_support(r >> i)
+        )
+
+    def _index(self, v: int) -> int:
+        try:
+            return self.labels.index(v)
+        except ValueError:
+            raise UnknownVertexError(f"no vertex labeled {v}") from None
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return ((u, v) if u <= v else (v, u)) in self.edges
+        return bool(self.rows[self._index(u)] >> self._index(v) & 1)
 
     def is_looped(self, v: int) -> bool:
-        self._check_vertex(v)
-        return (v, v) in self.edges
+        i = self._index(v)
+        return bool(self.rows[i] >> i & 1)
 
     def looped_vertices(self) -> frozenset[int]:
-        return frozenset(u for u, v in self.edges if u == v)
+        return frozenset(
+            self.labels[i] for i, r in enumerate(self.rows) if r >> i & 1
+        )
 
     def neighborhood(self, v: int) -> frozenset[int]:
         """All vertices adjacent to v; contains v itself iff v is looped."""
-        self._check_vertex(v)
-        out = set()
-        for a, b in self.edges:
-            if a == v:
-                out.add(b)
-            elif b == v:
-                out.add(a)
-        return frozenset(out)
+        r = self.rows[self._index(v)]
+        return frozenset(self.labels[j - 1] for j in iter_support(r))
 
     def press(self, v: int) -> "PseudoGraph":
         """Press looped vertex v: toggle every pair inside its neighborhood.
@@ -130,16 +150,12 @@ class PseudoGraph:
         Raises InvalidPressError when v carries no loop.  The pressed
         vertex ends isolated and loopless.
         """
-        self._check_vertex(v)
-        if (v, v) not in self.edges:
+        i = self._index(v)
+        rows = list(self.rows)
+        if not rows[i] >> i & 1:
             raise InvalidPressError(v)
-        nb = sorted(self.neighborhood(v))
-        toggle = {
-            (nb[i], nb[j])
-            for i in range(len(nb))
-            for j in range(i, len(nb))
-        }
-        return PseudoGraph(self.labels, self.edges ^ toggle)
+        _press(rows, i, range(len(rows)))
+        return PseudoGraph._from_rows(self.labels, rows)
 
     def apply_sequence(self, seq: Sequence[int]) -> "PseudoGraph":
         """Press the vertices of ``seq`` in order.
@@ -161,33 +177,28 @@ class PseudoGraph:
             g = self.apply_sequence(seq)
         except InvalidPressError:
             return False
-        return not g.edges
+        return not any(g.rows)
 
     def components(self) -> list[Component]:
         """Connected components, ordered by smallest label."""
-        parent = {lab: lab for lab in self.labels}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in self.edges:
-            if u != v:
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[ru] = rv
-        groups: dict[int, list[int]] = {}
-        for lab in self.labels:
-            groups.setdefault(find(lab), []).append(lab)
-        loops = self.looped_vertices()
+        labels, rows = self.labels, self.rows
         comps = []
-        for members in groups.values():
-            members.sort()
-            trivial = len(members) == 1 and members[0] not in loops
-            comps.append(Component(tuple(members), trivial))
-        comps.sort(key=lambda c: c.labels[0])
+        seen = 0
+        for i, r in enumerate(rows):
+            if seen >> i & 1:
+                continue
+            comp = 1 << i
+            frontier = r & ~comp
+            while frontier:
+                comp |= frontier
+                reach = 0
+                for j in iter_support(frontier):
+                    reach |= rows[j - 1]
+                frontier = reach & ~comp
+            seen |= comp
+            members = tuple(labels[j - 1] for j in iter_support(comp))
+            # A vertex without a row bit has no edge and no loop.
+            comps.append(Component(members, trivial=not r))
         return comps
 
     def induced(self, keep: Iterable[int]) -> "PseudoGraph":
@@ -196,16 +207,25 @@ class PseudoGraph:
         unknown = ks - set(self.labels)
         if unknown:
             raise UnknownVertexError(f"no vertices labeled {sorted(unknown)}")
-        labels = tuple(lab for lab in self.labels if lab in ks)
-        edges = {e for e in self.edges if e[0] in ks and e[1] in ks}
-        return PseudoGraph(labels, frozenset(edges))
+        kept = [i for i, lab in enumerate(self.labels) if lab in ks]
+        if len(kept) == self.n:
+            return self
+        new_pos = {i: t for t, i in enumerate(kept)}
+        rows = (
+            sum(
+                1 << new_pos[j - 1]
+                for j in iter_support(self.rows[i])
+                if j - 1 in new_pos
+            )
+            for i in kept
+        )
+        labels = tuple(self.labels[i] for i in kept)
+        return PseudoGraph._from_rows(labels, rows)
 
     def delete_vertex(self, v: int) -> "PseudoGraph":
         """Remove v and every edge touching it."""
-        self._check_vertex(v)
-        labels = tuple(lab for lab in self.labels if lab != v)
-        edges = {e for e in self.edges if v not in e}
-        return PseudoGraph(labels, frozenset(edges))
+        self._index(v)
+        return self.induced(lab for lab in self.labels if lab != v)
 
     def relabel(self, mapping: dict[int, int]) -> "PseudoGraph":
         """Apply a label bijection; mapping must cover every vertex."""
@@ -220,13 +240,7 @@ class PseudoGraph:
 
     def adjacency_matrix(self) -> BitMatrix:
         """Adjacency matrix with labels compressed to 1..n preserving order."""
-        pos = {lab: i for i, lab in enumerate(self.labels)}
-        rows = [0] * self.n
-        for u, v in self.edges:
-            iu, iv = pos[u], pos[v]
-            rows[iu] |= 1 << iv
-            rows[iv] |= 1 << iu
-        return BitMatrix(self.n, tuple(rows))
+        return BitMatrix(self.n, self.rows)
 
     def to_text(self) -> str:
         """Serialize to the graph text format.
@@ -244,11 +258,15 @@ def from_adjacency(a: BitMatrix) -> PseudoGraph:
     """Graph on labels 1..n with the given symmetric adjacency matrix."""
     if not a.is_symmetric():
         raise ValueError("adjacency matrix must be symmetric")
-    edges = set()
-    for i, r in enumerate(a.row_bits):
-        for j in iter_support(r >> i):
-            edges.add((i + 1, i + j))
-    return PseudoGraph(tuple(range(1, a.n + 1)), frozenset(edges))
+    return PseudoGraph._from_rows(tuple(range(1, a.n + 1)), a.row_bits)
+
+
+def _parse_matrix(text: str) -> PseudoGraph:
+    """Graph of a matrix-format adjacency on labels 1..n."""
+    try:
+        return from_adjacency(BitMatrix.from_text(text))
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def _parse_count(lines: list[str]) -> int:
@@ -352,10 +370,5 @@ def parse_auto(text: str) -> PseudoGraph:
     its (symmetric) adjacency matrix on labels 1..n.
     """
     if detect_format(text) == "matrix":
-        try:
-            return from_adjacency(BitMatrix.from_text(text))
-        except MatrixFormatError as exc:
-            raise GraphFormatError(str(exc)) from None
-        except ValueError as exc:
-            raise GraphFormatError(str(exc)) from None
+        return _parse_matrix(text)
     return parse_graph(text)

@@ -18,14 +18,11 @@ operations for an n-vertex graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .gf2 import BitMatrix, iter_support
+from .gf2 import BitMatrix, _press, iter_support
 from .graphs import PseudoGraph
-from .cholesky import (
-    UnpressableError,
-    find_pressing_order,
-    instructional_root,
-)
+from .cholesky import UnpressableError, find_pressing_order
 
 __all__ = [
     "PropertyReport",
@@ -89,24 +86,40 @@ def check_properties(u: BitMatrix) -> PropertyReport:
     """Check the four membership properties of an upper-triangular matrix."""
     if not u.is_upper_triangular():
         raise ValueError("matrix must be upper-triangular")
-    n = u.n
-    # One top-down row scan: count column weights, and track the columns
-    # whose run of ones has started but not yet reached the diagonal.  A
-    # started column missing from the current row breaks property 1, and
-    # so does one that resumes after its diagonal (impossible here since
-    # the input is upper-triangular).
-    w = [0] * n
-    active = 0
-    broken = 0
-    for i, r in enumerate(u.row_bits):
+    return _check_columns(u.row_bits, range(u.n))
+
+
+def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
+    """The four column checks on ``rows`` with columns taken in ``order``.
+
+    Column j (1-based) is bit ``order[j - 1]`` of every row, and the rows
+    must be upper-triangular in that column order.
+    """
+    n = len(order)
+    # One top-down row scan: note the first row holding each column, and
+    # track the columns whose run of ones has started but not yet
+    # reached the diagonal.  A started column missing from the current
+    # row breaks property 1.
+    top: dict[int, int] = {}
+    seen = active = broken = 0
+    for t, r in enumerate(rows):
+        for b in iter_support(r & ~seen):
+            top[b - 1] = t
+        seen |= r
         broken |= active & ~r
-        active = (active | r) & ~(1 << i)
-        x = r
-        while x:
-            low = x & -x
-            x ^= low
-            w[low.bit_length() - 1] += 1
-    fail1 = (broken & -broken).bit_length() if broken else None
+        active = (active | r) & ~(1 << order[t])
+    if broken:
+        fail1 = next(j for j, p in enumerate(order, 1) if broken >> p & 1)
+        ones = [0] * n
+        for r in rows:
+            for b in iter_support(r):
+                ones[b - 1] += 1
+        w = [ones[p] for p in order]
+    else:
+        fail1 = None
+        # Property 1 holds, so the ones of column j run from its top row
+        # down to the diagonal.
+        w = [j - top[p] + 1 if p in top else 0 for j, p in enumerate(order)]
 
     fail2 = None
     if n and w[0] != 1:
@@ -180,31 +193,15 @@ class RecognitionReport:
         return "\n".join(lines) + "\n"
 
 
-def _permuted_adjacency(g: PseudoGraph, order: tuple[int, ...]) -> BitMatrix:
-    """Adjacency of g with vertices reindexed to the given label order."""
-    pos = {lab: i for i, lab in enumerate(g.labels)}
-    src_rows = g.adjacency_matrix().row_bits
-    perm = [pos[lab] for lab in order]
-    inv = [0] * len(perm)
-    for t, p in enumerate(perm):
-        inv[p] = t
-    out = []
-    for t in range(len(perm)):
-        bits = 0
-        for j in iter_support(src_rows[perm[t]]):
-            bits |= 1 << inv[j - 1]
-        out.append(bits)
-    return BitMatrix(len(perm), tuple(out))
-
-
 def recognize(g: PseudoGraph) -> RecognitionReport:
     """Decide whether g has exactly one successful pressing sequence.
 
     Loopless isolated vertices are stripped first.  More than one
     non-trivial component, a stalled greedy order, or a greedy tie are
     immediate rejections (each impossible for a uniquely pressable
-    graph); otherwise the root under the greedy order is checked
-    against the four column properties.
+    graph).  Otherwise the greedy's pivot rows, which are the root
+    under the greedy order, are checked against the four column
+    properties in press order; the matrix is eliminated only once.
     """
     comps = g.components()
     stripped = tuple(
@@ -227,12 +224,11 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     if greedy.first_tie is not None:
         return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
     seq = greedy.permutation
-    rest = tuple(sorted(set(core.labels) - set(seq)))
-    full_order = seq + rest
-    root = instructional_root(
-        _permuted_adjacency(core, full_order), order=full_order
-    )
-    report = check_properties(root.matrix)
+    index = {lab: i for i, lab in enumerate(core.labels)}
+    order = [index[lab] for lab in seq]
+    order += sorted(set(range(core.n)) - set(order))
+    rows = greedy.pivot_rows + (0,) * (core.n - len(seq))
+    report = _check_columns(rows, order)
     failure = report.first_failure()
     if failure is None:
         return RecognitionReport(True, sequence=seq, stripped=stripped)
@@ -266,15 +262,7 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
         for v in range(n):
             if (state[v] >> v) & 1:
                 nxt = list(state)
-                piv = state[v]
-                x = piv
-                while x:
-                    low = x & -x
-                    i = low.bit_length() - 1
-                    x ^= low
-                    if i != v:
-                        nxt[i] ^= piv
-                nxt[v] = 0
+                _press(nxt, v, range(n))
                 total += count(tuple(nxt))
         memo[state] = total
         return total

@@ -56,22 +56,40 @@ def loop_path3():
     return PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 3)}))
 
 
+def naive_press(g, v):
+    """Press v by the definition, on edge sets: toggle every pair of
+    vertices in the closed neighborhood of v, loops included.
+
+    Kept apart from PseudoGraph.press, which runs on packed rows, so
+    the two can check each other.
+    """
+    edges = g.edges
+    if (v, v) not in edges:
+        raise InvalidPressError(v)
+    nb = sorted({b if a == v else a for a, b in edges if v in (a, b)})
+    toggle = {
+        (nb[i], nb[j]) for i in range(len(nb)) for j in range(i, len(nb))
+    }
+    return PseudoGraph(g.labels, edges ^ toggle)
+
+
 def naive_successful_sequences(g, bound=8):
     """Every successful pressing sequence of g, by plain recursion.
 
-    Uses only PseudoGraph.press, no memoization, no bit tricks; meant
-    as an oracle for the fast counter.  Exponential, so keep n small.
+    Uses only naive_press, no memoization, no bit tricks; meant as an
+    oracle for the fast counter.  Exponential, so keep n small.
     """
     if g.n > bound:
         raise ValueError(f"naive enumeration capped at {bound} vertices")
     out = []
 
     def walk(h, prefix):
-        if not h.edges:
+        edges = h.edges
+        if not edges:
             out.append(tuple(prefix))
             return
-        for v in sorted(h.looped_vertices()):
-            walk(h.press(v), prefix + [v])
+        for v in sorted(u for u, w in edges if u == w):
+            walk(naive_press(h, v), prefix + [v])
 
     walk(g, [])
     return out

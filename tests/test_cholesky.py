@@ -180,3 +180,30 @@ def test_greedy_outcome_exhaustive():
                 continue
             assert g.apply_sequence(po.permutation).edges == frozenset()
             assert succ
+
+
+def test_greedy_pivot_rows_are_the_root_in_graph_columns():
+    """Reordered to the press order, the greedy's pivot rows are the
+    instructional root's rows; the unpressed vertices' rows are zero."""
+    graphs = [g for n in range(1, 7) for g in generate_cup(n)]
+    graphs += list(all_pseudographs(3))
+    graphs += [random_cup(n) for n in (16, 40)]
+    for g in graphs:
+        try:
+            po = find_pressing_order(g)
+        except UnpressableError:
+            continue
+        assert len(po.pivot_rows) == len(po.permutation)
+        full = po.permutation + tuple(
+            sorted(set(g.labels) - set(po.permutation))
+        )
+        pos = {lab: i for i, lab in enumerate(g.labels)}
+        got = [
+            sum(1 << t for t, lab in enumerate(full) if r >> pos[lab] & 1)
+            for r in po.pivot_rows
+        ]
+        reordered = g.relabel({lab: t for t, lab in enumerate(full, 1)})
+        root = instructional_root(reordered.adjacency_matrix()).matrix
+        k = len(got)
+        assert tuple(got) == root.row_bits[:k]
+        assert not any(root.row_bits[k:])

@@ -4,11 +4,14 @@ Exit codes: 0 for yes/success, 1 for a no verdict or a dynamics
 failure, 2 for parse or usage errors.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import run_cli
+from pressgraph import cup_count, total_count
+from pressgraph.cli import COUNT_MAX_N
 
 DATA = Path(__file__).parent / "data"
 CUP2 = str(DATA / "cup2.graph")
@@ -184,6 +187,36 @@ def test_generate_streams_records():
 def test_count_golden():
     code, out, _ = run_cli(["count", "6"])
     assert (code, out) == (0, "cup=9 total=23\n")
+
+
+def _assert_digits(text, value):
+    """text spells value in decimal, checked without str(int) or int(str),
+    which refuse numbers this long."""
+    assert text.isdigit() and text[0] != "0"
+    width = len(text)
+    assert 10 ** (width - 1) <= value < 10**width
+    assert int(text[-18:]) == value % 10**18
+    assert int(text[:18]) == value // 10 ** (width - 18)
+
+
+@pytest.mark.parametrize("n", (18020, 18040, COUNT_MAX_N))
+def test_count_prints_every_digit(n):
+    # Interpreters before 3.10.7 have no limit to read.
+    limit_of = getattr(sys, "get_int_max_str_digits", lambda: None)
+    limit = limit_of()
+    code, out, err = run_cli(["count", str(n)])
+    assert (code, err) == (0, "")
+    cup, total = out.rstrip("\n").split(" ")
+    assert cup.startswith("cup=") and total.startswith("total=")
+    _assert_digits(cup[len("cup="):], cup_count(n))
+    _assert_digits(total[len("total="):], total_count(n))
+    assert limit_of() == limit
+
+
+def test_count_over_bound_is_usage_error():
+    code, out, err = run_cli(["count", str(COUNT_MAX_N + 1)])
+    assert (code, out) == (2, "")
+    assert "bound" in err
 
 
 def test_census_golden():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pressgraph import generate
 from pressgraph import (
     CensusResult,
     NotUniquelyPressableError,
@@ -212,6 +213,46 @@ def test_census_matches_closed_forms():
 
 def test_census_parallel_agrees():
     assert census(3, jobs=2) == census(3)
+
+
+@pytest.mark.parametrize(
+    "n, jobs, cpus", [(1, 1000, 64), (2, 1000, 64), (5, 1000, 4), (5, 3, None)]
+)
+def test_census_chunks_clamp_the_worker_count(monkeypatch, n, jobs, cpus):
+    monkeypatch.setattr(generate.os, "cpu_count", lambda: cpus)
+    chunks = generate._census_chunks(n, jobs)
+    total = 1 << (n * (n + 1) // 2)
+    assert len(chunks) <= min(jobs, total, cpus or 1)
+    # contiguous, non-empty, and together every mask exactly once
+    assert chunks[0][1] == 0 and chunks[-1][2] == total
+    for (_, _, hi), (_, lo, _) in zip(chunks, chunks[1:]):
+        assert hi == lo
+    assert all(c[0] == n and c[1] < c[2] for c in chunks)
+
+
+def test_census_pool_never_exceeds_the_masks(monkeypatch):
+    """census 1 --jobs 1000 has two masks, so at most two workers; a
+    stand-in pool records the size asked for and starts no process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(generate.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(generate.os, "cpu_count", lambda: 64)
+    assert census(1, jobs=1000) == census(1)
+    assert census(2, jobs=1000) == census(2)
+    assert sizes == [2, 8]
 
 
 def test_census_bounds():

@@ -19,7 +19,7 @@ from pressgraph import (
     parse_auto,
     parse_graph,
 )
-from conftest import naive_successful_sequences
+from conftest import naive_press, naive_successful_sequences
 
 
 def small_graphs(max_n=6):
@@ -114,6 +114,35 @@ def test_press_is_its_own_inverse_on_the_neighborhood(g, rng):
     # edges fully outside the old neighborhood are untouched
     outside = {e for e in g.edges if e[0] not in nb and e[1] not in nb}
     assert outside == {e for e in h.edges if e[0] not in nb and e[1] not in nb}
+
+
+def sparse_label_graphs(max_n=7):
+    """Random graphs whose labels are a random subset of 1..60."""
+
+    def build(labels, rng):
+        labels = tuple(sorted(labels))
+        pairs = [(u, v) for u in labels for v in labels if u <= v]
+        return PseudoGraph(labels, {p for p in pairs if rng.random() < 0.4})
+
+    return st.builds(
+        build,
+        st.sets(st.integers(1, 60), min_size=1, max_size=max_n),
+        st.randoms(use_true_random=False),
+    )
+
+
+@given(sparse_label_graphs())
+@settings(max_examples=200)
+def test_press_matches_the_edge_set_definition(g):
+    for v in g.labels:
+        if (v, v) in g.edges:
+            h, want = g.press(v), naive_press(g, v)
+            assert h == want
+            assert h.edges == want.edges
+            assert h.to_text() == want.to_text()
+        else:
+            with pytest.raises(InvalidPressError):
+                g.press(v)
 
 
 def test_apply_sequence_and_position_reporting(cup2):

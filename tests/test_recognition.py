@@ -1,5 +1,8 @@
 """Unit tests for the property check, the pipeline, and the oracles."""
 
+import itertools
+import random
+
 import pytest
 
 from pressgraph import (
@@ -9,14 +12,18 @@ from pressgraph import (
     REASON_MULTI_COMPONENT,
     REASON_TIE,
     REASON_UNPRESSABLE,
+    RecognitionReport,
+    UnpressableError,
     all_pseudographs,
     check_properties,
     count_sequences_bruteforce,
+    find_pressing_order,
     from_adjacency,
     generate_cup,
     instructional_root,
     pressing_length,
     principal_submatrix,
+    random_cup,
     recognize,
     transpose_mul,
 )
@@ -267,3 +274,134 @@ def test_pressing_length(cup2, example5):
     assert pressing_length(from_adjacency(example5)) == 2
     for n in (3, 5, 8):
         assert pressing_length(generate_cup(n)[0]) == n
+
+
+# ------------------------------------------- recognize vs a second elimination
+
+
+def reference_recognize(g):
+    """recognize rebuilt from public calls with a second elimination.
+
+    The greedy order is found first; then the adjacency is reordered to
+    that order, factored again by instructional_root, and the root is
+    checked by check_properties.
+    """
+    comps = g.components()
+    stripped = tuple(
+        sorted(lab for c in comps if c.trivial for lab in c.labels)
+    )
+    nontrivial = [c for c in comps if not c.trivial]
+    if len(nontrivial) > 1:
+        return RecognitionReport(
+            False, reason=REASON_MULTI_COMPONENT, stripped=stripped
+        )
+    if not nontrivial:
+        return RecognitionReport(True, sequence=(), stripped=stripped)
+    core = g.induced(nontrivial[0].labels)
+    try:
+        greedy = find_pressing_order(core)
+    except UnpressableError:
+        return RecognitionReport(
+            False, reason=REASON_UNPRESSABLE, stripped=stripped
+        )
+    if greedy.first_tie is not None:
+        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
+    seq = greedy.permutation
+    full = seq + tuple(sorted(set(core.labels) - set(seq)))
+    reordered = core.relabel({lab: t for t, lab in enumerate(full, 1)})
+    root = instructional_root(reordered.adjacency_matrix())
+    failure = check_properties(root.matrix).first_failure()
+    if failure is None:
+        return RecognitionReport(True, sequence=seq, stripped=stripped)
+    return RecognitionReport(
+        False, reason=f"PROP{failure[0]}", column=failure[1], stripped=stripped
+    )
+
+
+def _scatter(g, rng, spare=3):
+    """g with labels spread over a wider range, plus isolated padding."""
+    n = g.n + spare
+    labels = sorted(rng.sample(range(1, 4 * n + 1), n))
+    rng.shuffle(labels)
+    mapping = dict(zip(g.labels, labels))
+    edges = {(mapping[u], mapping[v]) for u, v in g.edges}
+    return PseudoGraph(sorted(labels), edges)
+
+
+def test_recognize_equals_second_elimination_exhaustively():
+    """Every graph with n <= 4, and every eighth one with n = 5, which
+    between them reach every reason code but PROP3."""
+    graphs = itertools.chain(
+        *(all_pseudographs(n) for n in range(0, 5)),
+        itertools.islice(all_pseudographs(5), 0, None, 8),
+    )
+    reasons = set()
+    for g in graphs:
+        got = recognize(g)
+        assert got == reference_recognize(g)
+        reasons.add(got.reason)
+    assert reasons == {
+        None,
+        REASON_MULTI_COMPONENT,
+        REASON_UNPRESSABLE,
+        REASON_TIE,
+        "PROP1",
+        "PROP2",
+        "PROP4",
+    }
+
+
+def test_recognize_equals_second_elimination_on_random_graphs():
+    rng = random.Random(2024)
+    reasons = set()
+    for trial in range(600):
+        n = rng.randint(1, 40)
+        if trial % 2:
+            # Dense random graphs mostly stop at a tie or a stall.
+            p = rng.choice((0.05, 0.1, 0.3, 0.5))
+            labels = range(1, n + 1)
+            pairs = [(u, v) for u in labels for v in labels if u <= v]
+            g = PseudoGraph(labels, {e for e in pairs if rng.random() < p})
+        else:
+            # Cups with a few toggled pairs: some reach the property checks.
+            g = random_cup(n, rng)
+            toggled = {
+                tuple(sorted(rng.choices(g.labels, k=2)))
+                for _ in range(rng.randint(1, 3))
+            }
+            g = PseudoGraph(g.labels, g.edges ^ toggled)
+        g = _scatter(g, rng, spare=rng.randint(0, 3))
+        got = recognize(g)
+        assert got == reference_recognize(g)
+        reasons.add(got.reason)
+    assert {None, REASON_TIE, REASON_UNPRESSABLE, "PROP1"} <= reasons
+
+
+def test_recognize_equals_second_elimination_on_permuted_cups():
+    rng = random.Random(256)
+    for _ in range(3):
+        g = _scatter(random_cup(256, rng), rng, spare=0)
+        got = recognize(g)
+        assert got.verdict
+        assert got == reference_recognize(g)
+        assert g.is_successful(got.sequence)
+
+
+def test_column_weights_match_a_per_column_count():
+    """Whether or not property 1 holds, the reported weights are the
+    column sums."""
+    rng = random.Random(7)
+    mats = [
+        instructional_root(g.adjacency_matrix()).matrix
+        for n in range(1, 9)
+        for g in generate_cup(n)
+    ]
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        mats.append(
+            BitMatrix(n, [rng.getrandbits(n) >> i << i for i in range(n)])
+        )
+    for u in mats:
+        rep = check_properties(u)
+        want = tuple(u.column(j).weight() for j in range(1, u.n + 1))
+        assert rep.column_weights == want
