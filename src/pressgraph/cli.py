@@ -50,6 +50,9 @@ __all__ = ["main"]
 COUNT_MAX_N = 100_000
 """Largest n that count accepts: about 24,000 digits per number."""
 
+CENSUS_MAX_N = 7
+"""Largest n that census accepts, whatever --oracle-bound says: 2^28 graphs."""
+
 
 def _read_input(path: str) -> str:
     if path == "-":
@@ -151,7 +154,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    result = census(args.n, bound=args.oracle_bound, jobs=args.jobs)
+    bound = min(args.oracle_bound, CENSUS_MAX_N)
+    result = census(args.n, bound=bound, jobs=args.jobs)
     sys.stdout.write(result.to_text())
     return 0
 

@@ -21,15 +21,15 @@ sets.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import random
 from dataclasses import dataclass
+from operator import or_
 from typing import Iterable, Iterator
 
 from .gf2 import BitMatrix, iter_support, transpose_mul
 from .graphs import PseudoGraph, from_adjacency
-from .recognition import OracleBoundError, recognize
+from .recognition import OracleBoundError, RecognitionReport, recognize
 
 __all__ = [
     "NotUniquelyPressableError",
@@ -216,15 +216,46 @@ def all_pseudographs(n: int):
     yield from _pseudographs(n, 0, 1 << len(_pairs(n)))
 
 
-def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
-    """The graphs on labels 1..n with pair-mask in [lo, hi)."""
-    labels = tuple(range(1, n + 1))
+def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
+    """Rows contributed by each byte of a pair-mask, one table per byte.
+
+    Entry b of table c holds the rows of the graph whose edges are the
+    pairs at mask bits 8c..8c+7 selected by b, so the rows of any mask
+    are the OR of one entry per table: about P/8 tables of 256 entries
+    for P = n(n+1)/2 pairs.  There is always one table, so that n = 0
+    has its single empty graph.
+    """
     pairs = _pairs(n)
+    tables = []
+    for start in range(0, max(len(pairs), 1), 8):
+        chunk = pairs[start:start + 8]
+        table = []
+        for b in range(1 << len(chunk)):
+            rows = [0] * n
+            for k, (u, v) in enumerate(chunk):
+                if b >> k & 1:
+                    rows[u - 1] |= 1 << (v - 1)
+                    rows[v - 1] |= 1 << (u - 1)
+            table.append(tuple(rows))
+        tables.append(table)
+    return tables
+
+
+def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
+    """The graphs on labels 1..n with pair-mask in [lo, hi), in order."""
+    labels = tuple(range(1, n + 1))
+    low, *high = _pair_tables(n)
+    wrap = PseudoGraph._from_rows
+    base_of = None
     for mask in range(lo, hi):
-        edges = frozenset(
-            p for k, p in enumerate(pairs) if (mask >> k) & 1
-        )
-        yield PseudoGraph(labels, edges)
+        # The bytes above the lowest change once per 256 masks.
+        if mask >> 8 != base_of:
+            base_of = m = mask >> 8
+            base = (0,) * n
+            for table in high:
+                base = tuple(map(or_, base, table[m & 255]))
+                m >>= 8
+        yield wrap(labels, map(or_, base, low[mask & 255]))
 
 
 def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
@@ -266,17 +297,41 @@ class CensusResult:
         )
 
 
+def _press_order_key(
+    g: PseudoGraph, report: RecognitionReport
+) -> tuple[int, tuple[int, ...]]:
+    """Isomorphism class key of a yes graph, without relabeling search.
+
+    The key is the padding count and the core's rows with every vertex
+    renamed to its position in the unique press order.  An isomorphism
+    carries the one press order onto the other, and a cup graph has no
+    nontrivial automorphism, so two yes graphs share the key exactly
+    when they are isomorphic.
+    """
+    seq = report.sequence
+    assert seq is not None
+    pos = {lab: t for t, lab in enumerate(seq)}
+    row = dict(zip(g.labels, g.rows))
+    core = tuple(
+        sum(1 << pos[g.labels[j - 1]] for j in iter_support(row[lab]))
+        for lab in seq
+    )
+    return len(report.stripped), core
+
+
 def _census_range(args: tuple[int, int, int]) -> tuple[int, dict]:
     """Recognize every pair-mask in [lo, hi); tally the yes graphs."""
     count = 0
-    classes: dict[tuple[int, ...], bool] = {}
+    classes: dict[tuple, bool] = {}
     for g in _pseudographs(*args):
-        if not recognize(g).verdict:
+        report = recognize(g)
+        if not report.verdict:
             continue
         count += 1
-        key = canonical_form(g)
+        key = _press_order_key(g, report)
         if key not in classes:
-            classes[key] = len(g.components()) == 1 and any(g.rows)
+            # Connected with an edge: no padding and a nonempty core.
+            classes[key] = not report.stripped and bool(report.sequence)
     return count, classes
 
 
@@ -308,6 +363,9 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
     if len(chunks) == 1:
         count, classes = _census_range(chunks[0])
     else:
+        # Imported here: it costs every command's start-up otherwise.
+        import multiprocessing
+
         count = 0
         classes = {}
         with multiprocessing.Pool(len(chunks)) as pool:
@@ -317,3 +375,13 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
                     classes.setdefault(key, conn)
     cup_classes = sum(1 for conn in classes.values() if conn)
     return CensusResult(n, count, len(classes), cup_classes)
+
+
+def __getattr__(name: str):
+    # The module-level name multiprocessing stays reachable, imported on
+    # first use instead of with the package.
+    if name == "multiprocessing":
+        import multiprocessing
+
+        return multiprocessing
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

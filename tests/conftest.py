@@ -6,6 +6,7 @@ cross-checks.
 """
 
 import io
+import os
 import sys
 import contextlib
 
@@ -13,6 +14,16 @@ import pytest
 
 from pressgraph import BitMatrix, PseudoGraph, InvalidPressError
 from pressgraph.cli import main as cli_main
+
+
+def pytest_collection_modifyitems(config, items):
+    """Skip tests marked slow unless PRESSGRAPH_SLOW=1 opts them in."""
+    if os.environ.get("PRESSGRAPH_SLOW") == "1":
+        return
+    skip = pytest.mark.skip(reason="slow: set PRESSGRAPH_SLOW=1 to run")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
 
 
 # 5x5 worked example: adjacency matrix and its upper-triangular root.

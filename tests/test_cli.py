@@ -4,14 +4,17 @@ Exit codes: 0 for yes/success, 1 for a no verdict or a dynamics
 failure, 2 for parse or usage errors.
 """
 
+import multiprocessing
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pressgraph
 from conftest import run_cli
-from pressgraph import cup_count, total_count
-from pressgraph.cli import COUNT_MAX_N
+from pressgraph import cup_count, generate, total_count
+from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N
 
 DATA = Path(__file__).parent / "data"
 CUP2 = str(DATA / "cup2.graph")
@@ -239,6 +242,39 @@ def test_census_over_bound_is_usage_error():
     assert "bound" in err
     code, _, _ = run_cli(["census", "3", "--oracle-bound", "3"])
     assert code == 0
+
+
+def test_census_cap_overrides_the_oracle_bound(monkeypatch):
+    """No --oracle-bound lifts census above CENSUS_MAX_N; the refusal
+    comes before any sweep runs or any worker process starts."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("census started work above its cap")
+
+    monkeypatch.setattr(generate, "_census_range", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    assert CENSUS_MAX_N == 7
+    code, out, err = run_cli(["census", "8", "--oracle-bound", "8"])
+    assert (code, out) == (2, "")
+    assert "exceeds bound" in err
+    code, out, err = run_cli(
+        ["census", "40", "--oracle-bound", "40", "--jobs", "2"]
+    )
+    assert (code, out) == (2, "")
+    assert "exceeds bound" in err
+
+
+def test_cli_import_leaves_multiprocessing_out():
+    src = Path(pressgraph.__file__).resolve().parents[1]
+    code = "import pressgraph.cli, sys; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ---------------------------------------------------------------- convert

@@ -172,6 +172,58 @@ def test_all_pseudographs_count():
         assert len(list(all_pseudographs(n))) == 2 ** (n * (n + 1) // 2)
 
 
+def _edge_built(n, mask):
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    edges = frozenset(p for k, p in enumerate(pairs) if mask >> k & 1)
+    return PseudoGraph(tuple(range(1, n + 1)), edges)
+
+
+@pytest.mark.parametrize(
+    "n, step", [(0, 1), (1, 1), (2, 1), (3, 1), (4, 1), (5, 7)]
+)
+def test_all_pseudographs_match_the_edge_built_graphs(n, step):
+    """The row-built sweep yields, in mask order, the graph built from
+    each mask's edge set: equal, with an equal hash and equal rows."""
+    for mask, g in enumerate(all_pseudographs(n)):
+        if mask % step:
+            continue
+        want = _edge_built(n, mask)
+        assert g == want and hash(g) == hash(want) and g.rows == want.rows
+    assert mask == 2 ** (n * (n + 1) // 2) - 1
+
+
+def test_all_pseudographs_tables_are_bounded():
+    # 78 pairs at n = 12: ten byte tables, never 2^39-entry halves.
+    tables = generate._pair_tables(12)
+    assert [len(t) for t in tables] == [256] * 9 + [64]
+    assert next(all_pseudographs(12)) == PseudoGraph(range(1, 13), ())
+    chunk = list(generate._pseudographs(12, 2**70 - 3, 2**70 + 3))
+    assert chunk == [_edge_built(12, m) for m in range(2**70 - 3, 2**70 + 3)]
+
+
+def test_press_order_key_agrees_with_canonical_form():
+    """Over every yes graph at n <= 5, the census key and canonical_form
+    induce the same classes, and the census flags exactly the classes
+    that are connected with an edge."""
+    for n in range(0, 6):
+        key_to_form = {}
+        form_to_key = {}
+        connected = {}
+        for g in all_pseudographs(n):
+            report = recognize(g)
+            if not report.verdict:
+                continue
+            key = generate._press_order_key(g, report)
+            form = canonical_form(g)
+            assert key_to_form.setdefault(key, form) == form
+            assert form_to_key.setdefault(form, key) == key
+            connected[key] = len(g.components()) == 1 and any(g.rows)
+        assert len(key_to_form) == total_count(n)
+        masks = 2 ** (n * (n + 1) // 2)
+        _, classes = generate._census_range((n, 0, masks))
+        assert classes == connected
+
+
 def test_canonical_form_is_isomorphism_invariant():
     rng = random.Random(3)
     for g in (
@@ -213,6 +265,16 @@ def test_census_matches_closed_forms():
 
 def test_census_parallel_agrees():
     assert census(3, jobs=2) == census(3)
+
+
+def test_census_parallel_agrees_at_four():
+    assert census(4, jobs=2) == census(4)
+
+
+@pytest.mark.slow
+def test_census_six_matches_closed_forms():
+    assert (total_count(6), cup_count(6)) == (23, 9)
+    assert census(6, bound=6, jobs=2) == CensusResult(6, 12157, 23, 9)
 
 
 @pytest.mark.parametrize(
