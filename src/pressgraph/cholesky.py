@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf2 import BitMatrix, _press
-from .graphs import PseudoGraph
+from .gf2 import BitMatrix, _press, iter_support
+from .graphs import PseudoGraph, _reach
 
 __all__ = [
     "CholeskyRoot",
@@ -52,14 +52,25 @@ class UnpressableError(ValueError):
     ``component`` is one leftover non-trivial component (its labels) at
     the point where no looped vertex remained.  A uniquely pressable
     graph never reaches this state; a merely pressable one can, when
-    the max-degree choice strands part of the graph.
+    the max-degree choice strands part of the graph.  The greedy passes
+    ``_stuck`` = (labels, rows, seed) instead; the component is then
+    found on first read.
     """
 
-    def __init__(self, component: tuple[int, ...]):
-        self.component = component
-        super().__init__(
-            f"pressing stalled: loopless component {component} remains"
-        )
+    def __init__(self, component: tuple[int, ...] | None, _stuck=None):
+        super().__init__(component)
+        self._component, self._stuck = component, _stuck
+
+    @property
+    def component(self) -> tuple[int, ...]:
+        if self._component is None:
+            labels, rows, seed = self._stuck
+            comp = iter_support(_reach(rows, seed))
+            self._component = tuple(labels[j - 1] for j in comp)
+        return self._component
+
+    def __str__(self) -> str:
+        return f"pressing stalled: loopless component {self.component} remains"
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,5 @@ def find_pressing_order(g: PseudoGraph) -> PressingOrder:
         pivots.append(rows[best])
         alive = _press(rows, best, alive)
     if alive:
-        left = PseudoGraph._from_rows(labels, rows).components()
-        stuck = next(c for c in left if not c.trivial)
-        raise UnpressableError(stuck.labels)
+        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
     return PressingOrder(tuple(order), True, first_tie, tuple(pivots))

@@ -28,9 +28,7 @@ from .generate import (
     generate_cup,
     total_count,
 )
-from .gf2 import MatrixFormatError
 from .graphs import (
-    GraphFormatError,
     InvalidPressError,
     PseudoGraph,
     UnknownVertexError,
@@ -39,11 +37,7 @@ from .graphs import (
     parse_auto,
     parse_graph,
 )
-from .recognition import (
-    OracleBoundError,
-    count_sequences_bruteforce,
-    recognize,
-)
+from .recognition import count_sequences_bruteforce, recognize
 
 __all__ = ["main"]
 
@@ -52,6 +46,9 @@ COUNT_MAX_N = 100_000
 
 CENSUS_MAX_N = 7
 """Largest n that census accepts, whatever --oracle-bound says: 2^28 graphs."""
+
+GENERATE_MAX_N = 22
+"""Largest n that generate accepts: 3^10 graphs, built in memory first."""
 
 
 def _read_input(path: str) -> str:
@@ -134,6 +131,10 @@ def _cmd_root(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.n > GENERATE_MAX_N:
+        raise ValueError(
+            f"generate of n={args.n} exceeds bound {GENERATE_MAX_N}"
+        )
     graphs = generate_cup(args.n)
     sys.stdout.write("\n".join(g.to_text() for g in graphs))
     return 0
@@ -273,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (GraphFormatError, MatrixFormatError, OracleBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
         InvalidPressError,
         UnpressableError,
@@ -284,10 +282,8 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except UnknownVertexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
+        # Malformed input and every other library error are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -187,14 +187,7 @@ class PseudoGraph:
         for i, r in enumerate(rows):
             if seen >> i & 1:
                 continue
-            comp = 1 << i
-            frontier = r & ~comp
-            while frontier:
-                comp |= frontier
-                reach = 0
-                for j in iter_support(frontier):
-                    reach |= rows[j - 1]
-                frontier = reach & ~comp
+            comp = _reach(rows, 1 << i)
             seen |= comp
             members = tuple(labels[j - 1] for j in iter_support(comp))
             # A vertex without a row bit has no edge and no loop.
@@ -252,6 +245,18 @@ class PseudoGraph:
         for u, v in sorted(self.edges):
             lines.append(f"{u} {v}")
         return "\n".join(lines) + "\n"
+
+
+def _reach(rows: Sequence[int], comp: int) -> int:
+    """Bitmask of the vertices connected to the vertex set ``comp``."""
+    frontier = comp
+    while frontier:
+        reach = 0
+        for j in iter_support(frontier):
+            reach |= rows[j - 1]
+        frontier = reach & ~comp
+        comp |= frontier
+    return comp
 
 
 def from_adjacency(a: BitMatrix) -> PseudoGraph:

@@ -17,11 +17,12 @@ operations for an n-vertex graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .gf2 import BitMatrix, _press, iter_support
-from .graphs import PseudoGraph
+from .graphs import PseudoGraph, _reach
 from .cholesky import UnpressableError, find_pressing_order
 
 __all__ = [
@@ -93,7 +94,7 @@ def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
     """The four column checks on ``rows`` with columns taken in ``order``.
 
     Column j (1-based) is bit ``order[j - 1]`` of every row, and the rows
-    must be upper-triangular in that column order.
+    must be upper-triangular in that column order, which lists every set bit.
     """
     n = len(order)
     # One top-down row scan: note the first row holding each column, and
@@ -110,10 +111,7 @@ def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
         active = (active | r) & ~(1 << order[t])
     if broken:
         fail1 = next(j for j, p in enumerate(order, 1) if broken >> p & 1)
-        ones = [0] * n
-        for r in rows:
-            for b in iter_support(r):
-                ones[b - 1] += 1
+        ones = Counter(b - 1 for r in rows for b in iter_support(r))
         w = [ones[p] for p in order]
     else:
         fail1 = None
@@ -196,27 +194,25 @@ class RecognitionReport:
 def recognize(g: PseudoGraph) -> RecognitionReport:
     """Decide whether g has exactly one successful pressing sequence.
 
-    Loopless isolated vertices are stripped first.  More than one
-    non-trivial component, a stalled greedy order, or a greedy tie are
-    immediate rejections (each impossible for a uniquely pressable
-    graph).  Otherwise the greedy's pivot rows, which are the root
-    under the greedy order, are checked against the four column
-    properties in press order; the matrix is eliminated only once.
+    Loopless isolated vertices (zero rows) are stripped first.  More
+    than one non-trivial component, a stalled greedy order, or a greedy
+    tie are immediate rejections (each impossible for a uniquely
+    pressable graph).  Otherwise the greedy's pivot rows, the root in
+    g's own columns, are checked against the four column properties in
+    press order; the matrix is eliminated only once.
     """
-    comps = g.components()
-    stripped = tuple(
-        sorted(lab for c in comps if c.trivial for lab in c.labels)
-    )
-    nontrivial = [c for c in comps if not c.trivial]
-    if len(nontrivial) > 1:
+    labels, rows = g.labels, g.rows
+    stripped = tuple(lab for lab, r in zip(labels, rows) if not r)
+    first = next(filter(None, rows), 0)
+    if not first:
+        return RecognitionReport(True, sequence=(), stripped=stripped)
+    # Reached vertices have nonzero rows: connected iff the counts agree.
+    if _reach(rows, first).bit_count() != len(rows) - len(stripped):
         return RecognitionReport(
             False, reason=REASON_MULTI_COMPONENT, stripped=stripped
         )
-    if not nontrivial:
-        return RecognitionReport(True, sequence=(), stripped=stripped)
-    core = g.induced(nontrivial[0].labels)
     try:
-        greedy = find_pressing_order(core)
+        greedy = find_pressing_order(g)
     except UnpressableError:
         return RecognitionReport(
             False, reason=REASON_UNPRESSABLE, stripped=stripped
@@ -224,10 +220,11 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     if greedy.first_tie is not None:
         return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
     seq = greedy.permutation
-    index = {lab: i for i, lab in enumerate(core.labels)}
+    index = dict(zip(labels, range(len(labels))))
     order = [index[lab] for lab in seq]
-    order += sorted(set(range(core.n)) - set(order))
-    rows = greedy.pivot_rows + (0,) * (core.n - len(seq))
+    pressed = set(order)
+    order += [i for i, r in enumerate(rows) if r and i not in pressed]
+    rows = greedy.pivot_rows + (0,) * (len(order) - len(seq))
     report = _check_columns(rows, order)
     failure = report.first_failure()
     if failure is None:

@@ -10,11 +10,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pressgraph
 from conftest import run_cli
-from pressgraph import cup_count, generate, total_count
-from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N
+from pressgraph import cli, cup_count, generate, total_count
+from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N, GENERATE_MAX_N
 
 DATA = Path(__file__).parent / "data"
 CUP2 = str(DATA / "cup2.graph")
@@ -187,6 +189,29 @@ def test_generate_streams_records():
     )
 
 
+def test_generate_bound(monkeypatch):
+    """generate N builds nothing above GENERATE_MAX_N and runs at it."""
+    calls = []
+
+    def stand_in(n):
+        calls.append(n)
+        return generate.generate_cup(1)
+
+    monkeypatch.setattr(cli, "generate_cup", stand_in)
+    code, out, err = run_cli(["generate", str(GENERATE_MAX_N)])
+    assert (code, out, err) == (0, "1\n1\n1 1\n", "")
+    assert calls == [GENERATE_MAX_N]
+
+    def refuse(n):
+        raise AssertionError("generate built graphs above its bound")
+
+    monkeypatch.setattr(cli, "generate_cup", refuse)
+    for n in (GENERATE_MAX_N + 1, 40):
+        code, out, err = run_cli(["generate", str(n)])
+        assert (code, out) == (2, "")
+        assert f"exceeds bound {GENERATE_MAX_N}" in err
+
+
 def test_count_golden():
     code, out, _ = run_cli(["count", "6"])
     assert (code, out) == (0, "cup=9 total=23\n")
@@ -333,3 +358,66 @@ def test_outputs_are_stable_across_runs():
     first = [run_cli(args) for args in corpus]
     second = [run_cli(args) for args in corpus]
     assert first == second
+
+
+# ------------------------------------------------------------------ fuzz
+
+# Arbitrary text mostly stops at the first parse error; graph-shaped
+# lines of small tokens, and nearly valid records in both formats, get
+# past it to the dynamics.
+_TOKEN = st.sampled_from(
+    ("0", "1", "2", "3", "4", "-1", "01", "10", "11", "110", "x", "", " ")
+)
+_GRAPHISH = st.lists(
+    st.lists(_TOKEN, max_size=6).map(" ".join), max_size=10
+).map("\n".join)
+
+
+@st.composite
+def _records(draw):
+    labels = sorted(draw(st.sets(st.integers(1, 9), max_size=7)))
+    n = len(labels) + draw(st.sampled_from((0, 0, 0, 1, -1)))
+    if draw(st.booleans()):
+        ends = st.sampled_from(labels + [0]) if labels else st.just(1)
+        pairs = st.tuples(ends, ends)
+        lines = [" ".join(map(str, labels))]
+        lines += [f"{u} {v}" for u, v in draw(st.lists(pairs, max_size=12))]
+    else:
+        k = len(labels)
+        bits = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                bits[i][j] = bits[j][i] = draw(st.integers(0, 1))
+        lines = ["".join(map(str, row)) for row in bits]
+    return "\n".join([str(n)] + lines) + "\n"
+
+
+_SEQUENCE = st.one_of(
+    st.lists(st.integers(-1, 5), max_size=6).map(
+        lambda seq: ",".join(map(str, seq))
+    ),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(("recognize", "press", "root", "convert")),
+    text=st.one_of(st.text(max_size=300), _GRAPHISH, _records()),
+    sequence=_SEQUENCE,
+)
+def test_fuzzed_input_keeps_the_exit_contract(
+    tmp_path_factory, command, text, sequence
+):
+    """Any text read by recognize, press, root or convert ends in exit
+    0, 1 or 2 and never in an exception; exit 2 prints nothing on
+    stdout."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text, encoding="utf-8")
+    argv = [command, str(path)]
+    if command == "press":
+        argv.insert(1, f"--sequence={sequence}")
+    code, out, _ = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""

@@ -405,3 +405,57 @@ def test_column_weights_match_a_per_column_count():
         rep = check_properties(u)
         want = tuple(u.column(j).weight() for j in range(1, u.n + 1))
         assert rep.column_weights == want
+
+
+def test_recognize_stays_on_the_rows(monkeypatch):
+    """recognize builds no Component list and no induced copy, on any
+    path, and UNPRESSABLE rejects never build the stalled component;
+    UnpressableError still finds it when asked."""
+    graphs = list(all_pseudographs(4))
+    graphs.append(PseudoGraph((1, 2, 3, 4, 5), {(2, 3), (3, 5)}))
+    want = [reference_recognize(g) for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recognize left the graph's rows")
+
+    monkeypatch.setattr(PseudoGraph, "components", refuse)
+    monkeypatch.setattr(PseudoGraph, "induced", refuse)
+    got = [recognize(g) for g in graphs]
+    assert got == want
+    assert got[-1] == RecognitionReport(
+        False, reason=REASON_UNPRESSABLE, stripped=(1, 4)
+    )
+
+    for g, component in (
+        (PseudoGraph((1, 2, 3), frozenset({(1, 2), (2, 3)})), (1, 2, 3)),
+        (PseudoGraph((1, 2, 3, 4), frozenset({(1, 1), (3, 4)})), (3, 4)),
+        # Of two stalled components, the one with the smallest label.
+        (PseudoGraph((1, 2, 3, 4), frozenset({(2, 4), (1, 3)})), (1, 3)),
+    ):
+        with pytest.raises(UnpressableError) as exc:
+            find_pressing_order(g)
+        text = f"pressing stalled: loopless component {component} remains"
+        assert exc.value.component == component
+        assert str(exc.value) == text
+        public = UnpressableError(component)
+        assert (public.component, str(public)) == (component, text)
+
+
+def test_recognize_reads_weights_by_column_past_the_core_size():
+    """Loopless isolated vertices below and between the core's labels
+    put pivot-row columns past the core size; weights are still read by
+    column, on the yes path and on the property failures: every graph
+    with n = 4, and the n = 5 graphs that reach the property check."""
+    graphs = itertools.chain(
+        all_pseudographs(4),
+        (g for g in all_pseudographs(5) if recognize(g).column is not None),
+    )
+    reasons = set()
+    for g in graphs:
+        # Core label v becomes 2v + 1; 1 and the even labels pad it.
+        spread = {(2 * u + 1, 2 * v + 1) for u, v in g.edges}
+        h = PseudoGraph(range(1, 2 * g.n + 2), spread)
+        got = recognize(h)
+        assert got == reference_recognize(h)
+        reasons.add(got.reason)
+    assert {None, "PROP1", "PROP2", "PROP4"} <= reasons
