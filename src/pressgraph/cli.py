@@ -77,9 +77,9 @@ def _to_dot(g: PseudoGraph) -> str:
             )
         else:
             lines.append(f"  {v};")
-    for u, v in sorted(g.edges):
-        if u != v:
-            lines.append(f"  {u} -- {v};")
+    for i, k in g._pairs():
+        if i != k:
+            lines.append(f"  {g.labels[i]} -- {g.labels[k]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -107,19 +107,22 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_press(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
-    states = [g]
+    # Only --trace keeps the earlier states; replay holds one at a time.
+    states = [g] if args.trace else None
     for pos, v in enumerate(args.sequence, start=1):
         try:
-            states.append(states[-1].press(v))
+            g = g.press(v)
         except (InvalidPressError, UnknownVertexError):
             raise InvalidPressError(v, position=pos) from None
-    if args.trace:
+        if states is not None:
+            states.append(g)
+    if states is not None:
         sys.stdout.write("\n".join(s.to_text() for s in states))
     else:
-        sys.stdout.write(states[-1].to_text())
+        sys.stdout.write(g.to_text())
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_to_dot(states[-1]))
+            fh.write(_to_dot(g))
     return 0
 
 

@@ -14,7 +14,7 @@ contiguous.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .gf2 import BitMatrix, _press, iter_support
 
@@ -115,11 +115,13 @@ class PseudoGraph:
     @property
     def edges(self) -> frozenset[Edge]:
         labels = self.labels
-        return frozenset(
-            (labels[i], labels[i + j - 1])
-            for i, r in enumerate(self.rows)
-            for j in iter_support(r >> i)
-        )
+        return frozenset((labels[i], labels[k]) for i, k in self._pairs())
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """Index pairs (i, k), i <= k, of the edges, in ascending order."""
+        for i, r in enumerate(self.rows):
+            for j in iter_support(r >> i):
+                yield i, i + j - 1
 
     def _index(self, v: int) -> int:
         try:
@@ -241,9 +243,9 @@ class PseudoGraph:
         Line 1 is n, line 2 the space-separated labels, then one edge
         per line as "u v" (a loop as "v v"), ascending.
         """
-        lines = [str(self.n), " ".join(str(lab) for lab in self.labels)]
-        for u, v in sorted(self.edges):
-            lines.append(f"{u} {v}")
+        names = [str(lab) for lab in self.labels]
+        lines = [str(self.n), " ".join(names)]
+        lines += [f"{names[i]} {names[k]}" for i, k in self._pairs()]
         return "\n".join(lines) + "\n"
 
 
@@ -294,7 +296,11 @@ def parse_graph(text: str) -> PseudoGraph:
     The edge list ends at the first blank line or at end of input;
     anything non-blank after that is rejected.
     """
-    lines = text.splitlines()
+    return _parse_graph(text.splitlines())
+
+
+def _parse_graph(lines: list[str]) -> PseudoGraph:
+    """parse_graph on the lines of the text, in one pass to packed rows."""
     n = _parse_count(lines)
     if n > 0 and len(lines) < 2:
         raise GraphFormatError("line 2: expected the label line")
@@ -307,34 +313,54 @@ def parse_graph(text: str) -> PseudoGraph:
         labels = tuple(int(t) for t in label_tokens)
     except ValueError:
         raise GraphFormatError("line 2: labels must be integers") from None
-    edges = set()
-    stop = None
-    for idx in range(2, len(lines)):
-        raw = lines[idx].strip()
-        if not raw:
+    # Row index of each label, keyed by the label and by its decimal
+    # text, so an endpoint written as its label needs no int().
+    index = {lab: i for i, lab in enumerate(labels)}
+    index.update({str(lab): i for lab, i in index.items()})
+    rows = [0] * n
+    leaves = False
+    stop = len(lines)
+    for idx in range(2, stop):
+        parts = lines[idx].split()
+        if len(parts) != 2:
+            if parts:
+                raise GraphFormatError(
+                    f"line {idx + 1}: expected an edge as 'u v', "
+                    f"got {lines[idx].strip()!r}"
+                )
             stop = idx
             break
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphFormatError(
-                f"line {idx + 1}: expected an edge as 'u v', got {raw!r}"
-            )
+        u, v = parts
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(
-                f"line {idx + 1}: edge endpoints must be integers"
-            ) from None
-        edges.add((u, v))
-    if stop is not None:
-        for idx in range(stop, len(lines)):
-            if lines[idx].strip():
+            iu, iv = index[u], index[v]
+        except KeyError:
+            # Another spelling of a label ("+3", "007"), a label outside
+            # the graph, or not an integer at all.
+            try:
+                u, v = int(u), int(v)
+            except ValueError:
                 raise GraphFormatError(
-                    f"line {idx + 1}: unexpected content after the record"
-                )
+                    f"line {idx + 1}: edge endpoints must be integers"
+                ) from None
+            if u not in index or v not in index:
+                leaves = True
+                continue
+            iu, iv = index[u], index[v]
+        rows[iu] |= 1 << iv
+        rows[iv] |= 1 << iu
+    for idx in range(stop, len(lines)):
+        if lines[idx].strip():
+            raise GraphFormatError(
+                f"line {idx + 1}: unexpected content after the record"
+            )
+    if not leaves and all(a < b for a, b in zip((0,) + labels, labels)):
+        return PseudoGraph._from_rows(labels, rows)
+    # The constructor names the bad label order or, in frozenset order,
+    # the first edge that leaves the graph.
+    edges = {(int(u), int(v)) for u, v in map(str.split, lines[2:stop])}
     try:
         return PseudoGraph(labels, frozenset(edges))
-    except (ValueError, UnknownVertexError) as exc:
+    except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
 
 
@@ -347,7 +373,10 @@ def detect_format(text: str) -> str:
     the graph reading (one vertex, no loop).  Unparseable text counts as
     "graph" so its diagnostics name the graph grammar.
     """
-    lines = text.splitlines()
+    return _detect_format(text.splitlines())
+
+
+def _detect_format(lines: list[str]) -> str:
     try:
         n = _parse_count(lines)
     except GraphFormatError:
@@ -374,6 +403,7 @@ def parse_auto(text: str) -> PseudoGraph:
     Format chosen per detect_format; matrix input becomes the graph of
     its (symmetric) adjacency matrix on labels 1..n.
     """
-    if detect_format(text) == "matrix":
+    lines = text.splitlines()
+    if _detect_format(lines) == "matrix":
         return _parse_matrix(text)
-    return parse_graph(text)
+    return _parse_graph(lines)

@@ -12,7 +12,13 @@ import contextlib
 
 import pytest
 
-from pressgraph import BitMatrix, PseudoGraph, InvalidPressError
+from pressgraph import (
+    BitMatrix,
+    GraphFormatError,
+    InvalidPressError,
+    PseudoGraph,
+    UnknownVertexError,
+)
 from pressgraph.cli import main as cli_main
 
 
@@ -123,6 +129,66 @@ def dense_det2(rows):
             if m[r][col]:
                 m[r] = [a ^ b for a, b in zip(m[r], m[col])]
     return 1
+
+
+def reference_parse_graph(text):
+    """The graph text format, parsed through a set of edge tuples.
+
+    A copy of the set-based parser that the one-pass packed-row parser
+    replaced, kept as an oracle: every text must give an equal graph or
+    the same GraphFormatError message under both.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise GraphFormatError("line 1: expected the vertex count")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise GraphFormatError(
+            f"line 1: expected an integer count, got {lines[0]!r}"
+        ) from None
+    if n < 0:
+        raise GraphFormatError(f"line 1: negative vertex count {n}")
+    if n > 0 and len(lines) < 2:
+        raise GraphFormatError("line 2: expected the label line")
+    label_tokens = lines[1].split() if len(lines) > 1 else []
+    if len(label_tokens) != n:
+        raise GraphFormatError(
+            f"line 2: expected {n} labels, got {len(label_tokens)}"
+        )
+    try:
+        labels = tuple(int(t) for t in label_tokens)
+    except ValueError:
+        raise GraphFormatError("line 2: labels must be integers") from None
+    edges = set()
+    stop = None
+    for idx in range(2, len(lines)):
+        raw = lines[idx].strip()
+        if not raw:
+            stop = idx
+            break
+        parts = raw.split()
+        if len(parts) != 2:
+            raise GraphFormatError(
+                f"line {idx + 1}: expected an edge as 'u v', got {raw!r}"
+            )
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                f"line {idx + 1}: edge endpoints must be integers"
+            ) from None
+        edges.add((u, v))
+    if stop is not None:
+        for idx in range(stop, len(lines)):
+            if lines[idx].strip():
+                raise GraphFormatError(
+                    f"line {idx + 1}: unexpected content after the record"
+                )
+    try:
+        return PseudoGraph(labels, frozenset(edges))
+    except (ValueError, UnknownVertexError) as exc:
+        raise GraphFormatError(str(exc)) from None
 
 
 def run_cli(argv, stdin=None):

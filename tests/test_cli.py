@@ -7,6 +7,7 @@ failure, 2 for parse or usage errors.
 import multiprocessing
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import pressgraph
 from conftest import run_cli
-from pressgraph import cli, cup_count, generate, total_count
+from pressgraph import PseudoGraph, cli, cup_count, generate, total_count
 from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N, GENERATE_MAX_N
 
 DATA = Path(__file__).parent / "data"
@@ -133,6 +134,35 @@ def test_press_malformed_sequence_is_usage_error():
     code, _, err = run_cli(["press", "--sequence", "1,x", PENDANT])
     assert code == 2
     assert "sequence must be integer labels" in err
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_press_holds_earlier_states_only_under_trace(
+    monkeypatch, tmp_path, trace
+):
+    """Without --trace each state is freed once the next is pressed."""
+    g = pressgraph.cup_from_choices("RRLRLRRLRLR")
+    seq = pressgraph.recognize(g).sequence
+    path = tmp_path / "cup.graph"
+    path.write_text(g.to_text())
+    press = PseudoGraph.press
+    states = []  # weak references to the input and every pressed state
+    alive = []  # earlier states still alive at each press
+
+    def counting(self, v):
+        if not states:
+            states.append(weakref.ref(self))
+        alive.append(sum(r() is not None for r in states) - 1)
+        out = press(self, v)
+        states.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(PseudoGraph, "press", counting)
+    argv = ["press", "--sequence", ",".join(map(str, seq)), str(path)]
+    code, out, _ = run_cli(argv + ["--trace"] * trace)
+    assert code == 0
+    assert out.endswith(f"12\n{' '.join(map(str, g.labels))}\n")
+    assert alive == (list(range(len(seq))) if trace else [0] * len(seq))
 
 
 def test_press_writes_dot(tmp_path):
@@ -417,6 +447,73 @@ def test_fuzzed_input_keeps_the_exit_contract(
     argv = [command, str(path)]
     if command == "press":
         argv.insert(1, f"--sequence={sequence}")
+    code, out, _ = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    command=st.sampled_from(("recognize", "press", "root", "convert")),
+    data=st.one_of(
+        st.binary(max_size=300),
+        st.tuples(_records(), st.binary(max_size=4)).map(
+            lambda p: p[0].encode() + p[1]
+        ),
+        _records().map(lambda t: t.encode("utf-16")),
+    ),
+    sequence=_SEQUENCE,
+)
+def test_fuzzed_bytes_keep_the_exit_contract(
+    tmp_path_factory, command, data, sequence
+):
+    """Files of raw bytes, UTF-8 or not, end in exit 0, 1 or 2 and never
+    in an exception; exit 2 prints nothing on stdout."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
+    path.write_bytes(data)
+    argv = [command, str(path)]
+    if command == "press":
+        argv.insert(1, f"--sequence={sequence}")
+    code, out, _ = run_cli(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+
+
+def _neither_int_nor_flag(token):
+    try:
+        int(token)
+    except ValueError:
+        return not token.startswith("-")
+    return False
+
+
+# Just above each command's cap, and census above its default bound:
+# every one is refused before any work.
+_OVER_CAP = {
+    "count": (COUNT_MAX_N + 1,),
+    "census": (6, CENSUS_MAX_N + 1),
+    "generate": (GENERATE_MAX_N + 1,),
+}
+
+
+@st.composite
+def _size_commands(draw):
+    command = draw(st.sampled_from(sorted(_OVER_CAP)))
+    fixed = ["-1", "-7", "1.5", "1e3", "0x3", "٣", "", " 4 "]
+    fixed += [str(n) for n in range(6)]
+    fixed += [str(n) for n in _OVER_CAP[command]]
+    free = st.text(max_size=8).filter(_neither_int_nor_flag)
+    token = draw(st.one_of(st.sampled_from(fixed), free))
+    return [command, token]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_size_commands())
+def test_fuzzed_sizes_keep_the_exit_contract(argv):
+    """count, census and generate on any n token end in exit 0, 1 or 2
+    and never in an exception; exit 2 prints nothing on stdout."""
     code, out, _ = run_cli(argv)
     assert code in (0, 1, 2)
     if code == 2:

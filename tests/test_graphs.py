@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pressgraph import (
@@ -19,7 +19,11 @@ from pressgraph import (
     parse_auto,
     parse_graph,
 )
-from conftest import naive_press, naive_successful_sequences
+from conftest import (
+    naive_press,
+    naive_successful_sequences,
+    reference_parse_graph,
+)
 
 
 def small_graphs(max_n=6):
@@ -294,3 +298,127 @@ def test_parse_auto_accepts_both(example5):
 @settings(max_examples=100)
 def test_text_round_trip_property(g):
     assert parse_graph(g.to_text()) == g
+
+
+# ---------------------------------------------- parser against the oracle
+
+# splitlines() breaks lines at each of these, not only at "\n".
+_BREAK = st.sampled_from(
+    ("\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c")
+)
+# Tokens int() reads in surprising ways, or refuses.
+_ODD_TOKEN = st.sampled_from(
+    ("+3", "1_0", "007", "²", "٣", "-1", "0", "3.0", "x", "")
+)
+
+
+def _join(draw, lines):
+    """The lines, each ended by a drawn line break, the last maybe not."""
+    text = "".join(line + draw(_BREAK) for line in lines)
+    if text and draw(st.booleans()):
+        text = text[:-1]
+    return text
+
+
+@st.composite
+def _graphish_texts(draw):
+    """Lines of small and odd tokens under every kind of line break."""
+    token = st.one_of(st.sampled_from(("1", "2", "3", "4")), _ODD_TOKEN)
+    sep = st.sampled_from((" ", " ", "  ", "\t", "\xa0"))
+    lines = draw(
+        st.lists(
+            st.lists(st.tuples(token, sep), max_size=4).map(
+                lambda ts: "".join(t + s for t, s in ts)
+            ),
+            max_size=8,
+        )
+    )
+    return _join(draw, lines)
+
+
+@st.composite
+def _near_records(draw):
+    """Graph records with none, one or several of the faults a parser
+    must rank."""
+
+    def fault():
+        return draw(st.integers(0, 3)) == 0
+
+    labels = sorted(draw(st.sets(st.integers(1, 12), max_size=6)))
+    label_line = list(labels)
+    if len(labels) > 1 and fault():
+        label_line = draw(st.permutations(labels))  # maybe out of order
+    n = len(labels) + (draw(st.sampled_from((1, -1))) if fault() else 0)
+    outside = [0, 13, 20] if fault() else []
+    ends = st.sampled_from(labels + outside) if labels else st.just(1)
+    pairs = draw(st.lists(st.tuples(ends, ends), max_size=12))
+    if pairs:  # duplicates, and the same edge written reversed
+        again = draw(st.lists(st.sampled_from(pairs), max_size=3))
+        pairs += [(v, u) if draw(st.booleans()) else (u, v) for u, v in again]
+
+    def spell(k):
+        return draw(st.sampled_from((str(k),) * 4 + (f"+{k}", f"0{k}")))
+
+    lines = [str(n), " ".join(spell(lab) for lab in label_line)]
+    lines += [f"{spell(u)} {spell(v)}" for u, v in pairs]
+    if fault():
+        bad = draw(
+            st.one_of(
+                st.sampled_from(("1", "1 2 3", "1 z", "² 1", "1_0 1")),
+                _ODD_TOKEN.map(lambda t: "1 " + t),
+            )
+        )
+        pad = st.sampled_from(("", "", " ", "\t"))
+        bad = draw(pad) + bad + draw(pad)
+        lines.insert(draw(st.integers(2, len(lines))), bad)
+    if fault():  # a blank line, then maybe more content
+        blank = draw(st.sampled_from(("", "  ", "\t")))
+        lines.insert(draw(st.integers(2, len(lines))), blank)
+        lines.append(draw(st.sampled_from(("", "1 1", "junk"))))
+    return _join(draw, lines)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@example("3\r\n1 2 3\r\n1 2\r\n2 3\r\n")
+@example("2\n1 2\x0b1 2\x0c2 2\x1c1 1\n")
+@example("2\n1 10\n1_0 1\n+1 001\n")
+@example("2\n1 2\n² 1\n")
+@example("2\n1 2\n1 2\n2 1\n1 2\n2 2\n")
+@example("2\n1 2\n1 5\n7 1\n9 9\n3 4\n2 8\n")
+@example("2\n2 1\n1 5\n1 z\n")
+@example("2\n2 1\n1 5\n\nmore\n")
+@example("2\n1 2\n1 1\n\n2 2\n")
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.text(max_size=200), _graphish_texts(), _near_records()))
+def test_parser_matches_the_set_based_reference(text):
+    """Equal graphs, or GraphFormatErrors with equal text, from the
+    one-pass parser and the set-based reference; parse_auto agrees on
+    every text it reads as a graph."""
+    want = _outcome(reference_parse_graph, text)
+    assert _outcome(parse_graph, text) == want
+    if detect_format(text) == "graph":
+        assert _outcome(parse_auto, text) == want
+
+
+def test_text_round_trip_at_n_512():
+    rng = random.Random(512)
+    n = 512
+    labels = tuple(sorted(rng.sample(range(1, 10 * n), n)))
+    rows = [0] * n
+    for i in range(n):
+        upper = rng.getrandbits(n - i) << i
+        rows[i] |= upper
+        for k in range(i + 1, n):
+            if upper >> k & 1:
+                rows[k] |= 1 << i
+    g = PseudoGraph._from_rows(labels, rows)
+    text = g.to_text()
+    edge_lines = [f"{u} {v}" for u, v in sorted(g.edges)]
+    assert text.splitlines()[2:] == edge_lines
+    assert parse_graph(text) == g == reference_parse_graph(text)
