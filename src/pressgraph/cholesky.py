@@ -47,7 +47,7 @@ class NotOrderPressableError(ValueError):
 
 
 class UnpressableError(ValueError):
-    """Greedy pressing ran out of looped vertices while edges remain.
+    """Pressing ran out of looped vertices while edges remain.
 
     ``component`` is one leftover non-trivial component (its labels) at
     the point where no looped vertex remained.  A uniquely pressable

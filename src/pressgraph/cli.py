@@ -23,17 +23,18 @@ from .cholesky import (
 )
 from .generate import (
     NotUniquelyPressableError,
+    _cups,
     census,
     cup_count,
-    generate_cup,
     total_count,
 )
 from .graphs import (
     InvalidPressError,
     PseudoGraph,
     UnknownVertexError,
+    _detect_format,
+    _parse_graph,
     _parse_matrix,
-    detect_format,
     parse_auto,
     parse_graph,
 )
@@ -48,7 +49,7 @@ CENSUS_MAX_N = 7
 """Largest n that census accepts, whatever --oracle-bound says: 2^28 graphs."""
 
 GENERATE_MAX_N = 22
-"""Largest n that generate accepts: 3^10 graphs, built in memory first."""
+"""Largest n generate accepts, to bound output: 3^10 graphs, 11.7 MB."""
 
 
 def _read_input(path: str) -> str:
@@ -138,8 +139,11 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"generate of n={args.n} exceeds bound {GENERATE_MAX_N}"
         )
-    graphs = generate_cup(args.n)
-    sys.stdout.write("\n".join(g.to_text() for g in graphs))
+    # Each graph is written as soon as it is built, blank-line separated.
+    sep = ""
+    for g in _cups(args.n):
+        sys.stdout.write(sep + g.to_text())
+        sep = "\n"
     return 0
 
 
@@ -166,8 +170,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 def _cmd_convert(args: argparse.Namespace) -> int:
     text = _read_input(args.input)
-    src = detect_format(text)
-    g = _load_graph(text, src)
+    lines = text.splitlines()
+    src = _detect_format(lines)
+    g = _parse_matrix(text) if src == "matrix" else _parse_graph(lines)
     target = args.format or ("matrix" if src == "graph" else "graph")
     if target == "graph":
         sys.stdout.write(g.to_text())

@@ -12,10 +12,10 @@ closed under two extension maps:
   set is a clique with loops, so the toggle erases it).
 
 Every cup graph on n+1 vertices arises from one on n vertices this way,
-so breadth-first application of both maps enumerates the class exactly,
-and closed-form counts are available.  Root-level versions of the same
-maps build a pseudo-random instance in O(n^2) without touching edge
-sets.
+so an L (prepend) / R (append) word names each one; cup_from_choices
+builds it on root rows in O(n^2).  Past its first letter, with LR and
+RL taken as one in each pair (2, 3), (4, 5), ..., the word is a ternary
+code: one word per graph, listed by generate_cup, counted by cup_count.
 """
 
 from __future__ import annotations
@@ -112,28 +112,28 @@ def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
 
 
 def generate_cup(n: int) -> tuple[PseudoGraph, ...]:
-    """All cup graphs on n vertices, sorted by packed adjacency rows.
+    """All cup graphs on n vertices, one per code word, in code order.
 
-    Breadth-first closure of the two extension maps starting from the
-    single loop; duplicates (the maps can collide) are merged.  For
-    n = 0 the empty graph stands alone.
+    The code word of a cup graph on n >= 2 vertices is "L", then one of
+    LL, LR, RR for each of the (n-2)//2 letter pairs, then for odd n a
+    trailing L or R; n = 1 has the empty word, n = 0 the empty graph.
+    Code order puts the trailing letter first (L < R), then the pairs
+    from last to first (LL < LR < RR): it sorts the graphs by rows.
     """
+    return tuple(_cups(n))
+
+
+def _cups(n: int) -> Iterator[PseudoGraph]:
+    """generate_cup(n), built one graph at a time."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return (PseudoGraph((), frozenset()),)
-    current: list[PseudoGraph] = [PseudoGraph((1,), frozenset({(1, 1)}))]
-    for _ in range(n - 1):
-        seen: dict[tuple[int, ...], PseudoGraph] = {}
-        for g in current:
-            for h in (
-                extend_right(g, check=False),
-                extend_left(shift_labels(g), check=False),
-            ):
-                seen[h.rows] = h
-        current = list(seen.values())
-    current.sort(key=lambda g: g.rows)
-    return tuple(current)
+    if n < 2:
+        yield cup_from_choices("") if n else PseudoGraph((), frozenset())
+        return
+    tails = ("L", "R") if n % 2 else ("",)
+    spellings = [("LL", "LR", "RR")] * ((n - 2) // 2)
+    for tail, *pairs in itertools.product(tails, *spellings):
+        yield cup_from_choices("L" + "".join(reversed(pairs)) + tail)
 
 
 def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
@@ -376,12 +376,3 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
     cup_classes = sum(1 for conn in classes.values() if conn)
     return CensusResult(n, count, len(classes), cup_classes)
 
-
-def __getattr__(name: str):
-    # The module-level name multiprocessing stays reachable, imported on
-    # first use instead of with the package.
-    if name == "multiprocessing":
-        import multiprocessing
-
-        return multiprocessing
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

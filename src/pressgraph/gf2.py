@@ -66,6 +66,17 @@ def _press(rows: list[int], p: int, live: Iterable[int]) -> list[int]:
     return still
 
 
+def _rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) of packed rows, by a basis keyed by lowest bit."""
+    basis: dict[int, int] = {}
+    for r in rows:
+        while r and (low := r & -r) in basis:
+            r ^= basis[low]
+        if r:
+            basis[low] = r
+    return len(basis)
+
+
 @dataclass(frozen=True)
 class BitRow:
     """A GF(2) row vector of fixed length.

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .gf2 import BitMatrix, _press, iter_support
+from .gf2 import BitMatrix, _press, _rank, iter_support
 from .graphs import PseudoGraph, _reach
 from .cholesky import UnpressableError, find_pressing_order
 
@@ -119,29 +119,15 @@ def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
         # down to the diagonal.
         w = [j - top[p] + 1 if p in top else 0 for j, p in enumerate(order)]
 
-    fail2 = None
-    if n and w[0] != 1:
-        fail2 = 1
-    else:
-        for j in range(1, n):
-            if w[j] < w[j - 1]:
-                fail2 = j + 1
-                break
-
-    fail3 = None
-    for i in range(n - 2):
-        if w[i] > 2 and w[i + 2] <= w[i]:
-            fail3 = i + 3
-            break
-
-    fail4 = None
-    for j in range(1, n):
-        if w[j] & 1:
-            for t in range(j, n):
-                if w[t] != t + 1:
-                    fail4 = t + 1
-                    break
-            break
+    fail2 = 1 if n and w[0] != 1 else next(
+        (j + 1 for j in range(1, n) if w[j] < w[j - 1]), None
+    )
+    fail3 = next(
+        (i + 3 for i in range(n - 2) if w[i] > 2 and w[i + 2] <= w[i]), None
+    )
+    # From the first odd non-initial column on, every column is full.
+    odd = next((j for j in range(1, n) if w[j] & 1), n)
+    fail4 = next((t + 1 for t in range(odd, n) if w[t] != t + 1), None)
 
     return PropertyReport(
         prop1=fail1 is None,
@@ -270,6 +256,13 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
 def pressing_length(g: PseudoGraph) -> int:
     """Length shared by every successful pressing sequence of g.
 
-    Raises UnpressableError when no successful sequence exists.
+    That length is rank(A) over GF(2) of the adjacency matrix.  A
+    successful sequence exists iff every non-trivial component has a
+    looped vertex (Cooper and Davis); otherwise UnpressableError names
+    the first component, by smallest label, that has none.
     """
-    return len(find_pressing_order(g).permutation)
+    looped = g.looped_vertices()
+    for comp in g.components():
+        if not comp.trivial and looped.isdisjoint(comp.labels):
+            raise UnpressableError(comp.labels)
+    return _rank(g.rows)

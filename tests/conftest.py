@@ -18,6 +18,9 @@ from pressgraph import (
     InvalidPressError,
     PseudoGraph,
     UnknownVertexError,
+    extend_left,
+    extend_right,
+    shift_labels,
 )
 from pressgraph.cli import main as cli_main
 
@@ -189,6 +192,34 @@ def reference_parse_graph(text):
         return PseudoGraph(labels, frozenset(edges))
     except (ValueError, UnknownVertexError) as exc:
         raise GraphFormatError(str(exc)) from None
+
+
+def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
+    """All cup graphs on n vertices, sorted by packed adjacency rows.
+
+    Breadth-first closure of the two extension maps starting from the
+    single loop; duplicates (the maps can collide) are merged.  For
+    n = 0 the empty graph stands alone.
+
+    A copy of the edge-set enumeration that the ternary code replaced,
+    kept as an oracle for generate_cup's graphs and their order.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return (PseudoGraph((), frozenset()),)
+    current: list[PseudoGraph] = [PseudoGraph((1,), frozenset({(1, 1)}))]
+    for _ in range(n - 1):
+        seen: dict[tuple[int, ...], PseudoGraph] = {}
+        for g in current:
+            for h in (
+                extend_right(g, check=False),
+                extend_left(shift_labels(g), check=False),
+            ):
+                seen[h.rows] = h
+        current = list(seen.values())
+    current.sort(key=lambda g: g.rows)
+    return tuple(current)
 
 
 def run_cli(argv, stdin=None):

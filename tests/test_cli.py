@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgraph
-from conftest import run_cli
+from conftest import reference_generate_cup, run_cli
 from pressgraph import PseudoGraph, cli, cup_count, generate, total_count
 from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N, GENERATE_MAX_N
 
@@ -219,6 +219,38 @@ def test_generate_streams_records():
     )
 
 
+@pytest.mark.parametrize("n", range(13))
+def test_generate_bytes_match_the_reference(n):
+    code, out, err = run_cli(["generate", str(n)])
+    expected = "\n".join(g.to_text() for g in reference_generate_cup(n))
+    assert (code, out, err) == (0, expected, "")
+
+
+def test_generate_writes_each_graph_as_it_is_built(monkeypatch):
+    """A stdout that breaks on its second write stops generate 10 long
+    before it has built all cup_count(10) graphs."""
+    built = []
+    build = generate.cup_from_choices
+
+    def counting(choices):
+        g = build(choices)
+        built.append(g)
+        return g
+
+    class BrokenPipe:
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 2:
+                raise BrokenPipeError("stand-in pipe closed")
+
+    monkeypatch.setattr(generate, "cup_from_choices", counting)
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    assert cli.main(["generate", "10"]) == 2
+    assert 0 < len(built) < cup_count(10)
+
+
 def test_generate_bound(monkeypatch):
     """generate N builds nothing above GENERATE_MAX_N and runs at it."""
     calls = []
@@ -227,7 +259,7 @@ def test_generate_bound(monkeypatch):
         calls.append(n)
         return generate.generate_cup(1)
 
-    monkeypatch.setattr(cli, "generate_cup", stand_in)
+    monkeypatch.setattr(cli, "_cups", stand_in)
     code, out, err = run_cli(["generate", str(GENERATE_MAX_N)])
     assert (code, out, err) == (0, "1\n1\n1 1\n", "")
     assert calls == [GENERATE_MAX_N]
@@ -235,7 +267,7 @@ def test_generate_bound(monkeypatch):
     def refuse(n):
         raise AssertionError("generate built graphs above its bound")
 
-    monkeypatch.setattr(cli, "generate_cup", refuse)
+    monkeypatch.setattr(cli, "_cups", refuse)
     for n in (GENERATE_MAX_N + 1, 40):
         code, out, err = run_cli(["generate", str(n)])
         assert (code, out) == (2, "")

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+import multiprocessing
 import random
 
 import pytest
 
+from conftest import reference_generate_cup
 from pressgraph import generate
 from pressgraph import (
     CensusResult,
@@ -106,6 +108,12 @@ def test_generate_cup_small_values(cup2):
 def test_generate_cup_sizes_match_closed_form():
     for n in range(2, 13):
         assert len(generate_cup(n)) == cup_count(n)
+
+
+def test_generate_cup_matches_the_bfs_reference():
+    """The ternary code gives the extension-map closure, in its order."""
+    for n in range(15):
+        assert generate_cup(n) == reference_generate_cup(n)
 
 
 def test_generated_graphs_are_distinct_and_canonical():
@@ -310,7 +318,7 @@ def test_census_pool_never_exceeds_the_masks(monkeypatch):
         def map(self, fn, items):
             return [fn(item) for item in items]
 
-    monkeypatch.setattr(generate.multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
     monkeypatch.setattr(generate.os, "cpu_count", lambda: 64)
     assert census(1, jobs=1000) == census(1)
     assert census(2, jobs=1000) == census(2)

@@ -276,6 +276,24 @@ def test_pressing_length(cup2, example5):
         assert pressing_length(generate_cup(n)[0]) == n
 
 
+def test_pressing_length_is_the_length_of_every_successful_sequence():
+    """On all 1,099 graphs with n <= 4: the length of every successful
+    sequence, or UnpressableError with a loopless component exactly
+    when there is no successful sequence."""
+    for n in range(5):
+        for g in all_pseudographs(n):
+            seqs = naive_successful_sequences(g)
+            if seqs:
+                assert {len(s) for s in seqs} == {pressing_length(g)}
+                continue
+            with pytest.raises(UnpressableError) as info:
+                pressing_length(g)
+            comp = info.value.component
+            assert comp in [c.labels for c in g.components()]
+            assert len(comp) > 1
+            assert not g.looped_vertices() & set(comp)
+
+
 # ------------------------------------------- recognize vs a second elimination
 
 
