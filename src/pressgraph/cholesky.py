@@ -16,10 +16,9 @@ non-uniqueness; the order records where the first one happened.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .gf2 import BitMatrix, _press, iter_support
+from .gf2 import BitMatrix, _press, _Record, iter_support
 from .graphs import PseudoGraph, _reach
 
 __all__ = [
@@ -73,8 +72,7 @@ class UnpressableError(ValueError):
         return f"pressing stalled: loopless component {self.component} remains"
 
 
-@dataclass(frozen=True)
-class PressingOrder:
+class PressingOrder(_Record):
     """A successful pressing order found by the greedy strategy.
 
     ``permutation`` lists the pressed labels in press order; vertices
@@ -88,18 +86,28 @@ class PressingOrder:
     root's rows; the unpressed vertices' root rows are zero.
     """
 
-    permutation: tuple[int, ...]
-    complete: bool
-    first_tie: int | None = None
-    pivot_rows: tuple[int, ...] = ()
+    __match_args__ = ("permutation", "complete", "first_tie", "pivot_rows")
+
+    def __init__(
+        self,
+        permutation: tuple[int, ...],
+        complete: bool,
+        first_tie: int | None = None,
+        pivot_rows: tuple[int, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            permutation=permutation, complete=complete, first_tie=first_tie,
+            pivot_rows=pivot_rows,
+        )
 
 
-@dataclass(frozen=True)
-class CholeskyRoot:
+class CholeskyRoot(_Record):
     """An upper-triangular GF(2) root together with the vertex order used."""
 
-    matrix: BitMatrix
-    order: tuple[int, ...]
+    __match_args__ = ("matrix", "order")
+
+    def __init__(self, matrix: BitMatrix, order: tuple[int, ...]) -> None:
+        self.__dict__.update(matrix=matrix, order=order)
 
 
 def instructional_root(

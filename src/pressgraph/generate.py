@@ -23,12 +23,11 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from operator import or_
-from typing import Iterable, Iterator
 
-from .gf2 import BitMatrix, iter_support, transpose_mul
-from .graphs import PseudoGraph, from_adjacency
+from .gf2 import _gram, _Record, iter_support
+from .graphs import PseudoGraph
 from .recognition import OracleBoundError, RecognitionReport, recognize
 
 __all__ = [
@@ -161,8 +160,8 @@ def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
             weights = [1] + [w + (w & 1) for w in weights]
         else:
             raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
-    root = BitMatrix(len(rows), tuple(rows))
-    return from_adjacency(transpose_mul(root))
+    # The Gram product U^T U is symmetric by construction.
+    return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), _gram(rows))
 
 
 def random_cup(n: int, rng: random.Random | None = None) -> PseudoGraph:
@@ -280,14 +279,21 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(_Record):
     """Tallies from an exhaustive sweep of all graphs on n vertices."""
 
-    n: int
-    labeled_total: int
-    up_iso_classes: int
-    cup_iso_classes: int
+    __match_args__ = (
+        "n", "labeled_total", "up_iso_classes", "cup_iso_classes"
+    )
+
+    def __init__(
+        self, n: int, labeled_total: int, up_iso_classes: int,
+        cup_iso_classes: int,
+    ) -> None:
+        self.__dict__.update(
+            n=n, labeled_total=labeled_total, up_iso_classes=up_iso_classes,
+            cup_iso_classes=cup_iso_classes,
+        )
 
     def to_text(self) -> str:
         return (

@@ -10,8 +10,8 @@ All indices are 1-based at the public boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from operator import attrgetter
 
 __all__ = [
     "BitRow",
@@ -32,6 +32,43 @@ class DimensionError(ValueError):
 
 class MatrixFormatError(ValueError):
     """Malformed matrix text."""
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass lists its two or more fields in ``__match_args__`` and
+    its own ``__init__`` writes them straight into the instance
+    ``__dict__``, which holds nothing else.  A record equals only a
+    record of the same class with equal fields, hashes as its field
+    tuple, prints as ``Name(field=value, ...)`` and refuses assignment
+    and deletion.  Pickle and copy restore the ``__dict__`` without
+    calling ``__setattr__``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._astuple = attrgetter(*cls.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._astuple(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._astuple(self))
+        body = ", ".join(f"{name}={value!r}" for name, value in fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _mask(width: int) -> int:
@@ -77,8 +114,7 @@ def _rank(rows: Iterable[int]) -> int:
     return len(basis)
 
 
-@dataclass(frozen=True)
-class BitRow:
+class BitRow(_Record):
     """A GF(2) row vector of fixed length.
 
     Attributes:
@@ -86,14 +122,14 @@ class BitRow:
         bits: packed entries, entry j at bit j-1.
     """
 
-    length: int
-    bits: int = 0
+    __match_args__ = ("length", "bits")
 
-    def __post_init__(self) -> None:
-        if self.length < 0:
-            raise DimensionError(f"negative length {self.length}")
-        if self.bits < 0 or self.bits >> self.length:
+    def __init__(self, length: int, bits: int = 0) -> None:
+        if length < 0:
+            raise DimensionError(f"negative length {length}")
+        if bits < 0 or bits >> length:
             raise ValueError("bits set outside the declared length")
+        self.__dict__.update(length=length, bits=bits)
 
     @classmethod
     def from_values(cls, values: Iterable[int]) -> "BitRow":
@@ -139,8 +175,7 @@ def gf2_dot(a: BitRow, b: BitRow) -> int:
     return (a.bits & b.bits).bit_count() & 1
 
 
-@dataclass(frozen=True)
-class BitMatrix:
+class BitMatrix(_Record):
     """A square GF(2) matrix stored as one packed integer per row.
 
     ``row_bits[i - 1]`` is row i; bit j-1 of it is entry (i, j).  Rows
@@ -148,21 +183,19 @@ class BitMatrix:
     as tuples of ints.
     """
 
-    n: int
-    row_bits: tuple[int, ...]
+    __match_args__ = ("n", "row_bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DimensionError(f"negative size {self.n}")
-        object.__setattr__(self, "row_bits", tuple(self.row_bits))
-        if len(self.row_bits) != self.n:
-            raise DimensionError(
-                f"expected {self.n} rows, got {len(self.row_bits)}"
-            )
-        top = _mask(self.n)
-        for r in self.row_bits:
+    def __init__(self, n: int, row_bits: Iterable[int]) -> None:
+        if n < 0:
+            raise DimensionError(f"negative size {n}")
+        row_bits = tuple(row_bits)
+        if len(row_bits) != n:
+            raise DimensionError(f"expected {n} rows, got {len(row_bits)}")
+        top = _mask(n)
+        for r in row_bits:
             if r < 0 or r & ~top:
                 raise ValueError("row bits set outside column range")
+        self.__dict__.update(n=n, row_bits=row_bits)
 
     @classmethod
     def zero(cls, n: int) -> "BitMatrix":
@@ -287,11 +320,19 @@ def transpose_mul(u: BitMatrix) -> BitMatrix:
     Entry (i, j) of the result is the GF(2) dot product of columns i and
     j of ``u``; the result is symmetric by construction.
     """
-    out = [0] * u.n
-    for r in u.row_bits:
+    return BitMatrix(u.n, _gram(u.row_bits))
+
+
+def _gram(rows: Sequence[int]) -> list[int]:
+    """Rows of U^T U for the packed rows of a square U, unchecked.
+
+    Row i of the product is the XOR of the rows of U holding bit i.
+    """
+    out = [0] * len(rows)
+    for r in rows:
         for i in iter_support(r):
             out[i - 1] ^= r
-    return BitMatrix(u.n, tuple(out))
+    return out
 
 
 def leading_principal_minors(a: BitMatrix) -> tuple[int, ...]:

@@ -13,10 +13,9 @@ contiguous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
-from .gf2 import BitMatrix, _press, iter_support
+from .gf2 import BitMatrix, _press, _Record, iter_support
 
 __all__ = [
     "Edge",
@@ -32,6 +31,10 @@ __all__ = [
 ]
 
 Edge = tuple[int, int]
+
+GRAPH_MAX_N = 16_384
+"""Largest vertex count graph text may declare: a star on it holds 32 MiB
+of rows, since a row with an edge to index k takes k bits."""
 
 
 class GraphFormatError(ValueError):
@@ -55,16 +58,16 @@ class InvalidPressError(ValueError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """A connected component; trivial means one loopless isolated vertex."""
 
-    labels: tuple[int, ...]
-    trivial: bool
+    __match_args__ = ("labels", "trivial")
+
+    def __init__(self, labels: tuple[int, ...], trivial: bool) -> None:
+        self.__dict__.update(labels=labels, trivial=trivial)
 
 
-@dataclass(frozen=True, init=False)
-class PseudoGraph:
+class PseudoGraph(_Record):
     """An undirected graph with optional loops and no multi-edges.
 
     ``labels`` is the strictly increasing tuple of vertex labels.  The
@@ -75,8 +78,7 @@ class PseudoGraph:
     (min, max), a loop at v as the pair (v, v).
     """
 
-    labels: tuple[int, ...]
-    rows: tuple[int, ...]
+    __match_args__ = ("labels", "rows")
 
     def __init__(self, labels: Iterable[int], edges: Iterable[Edge]) -> None:
         labels = tuple(labels)
@@ -302,6 +304,10 @@ def parse_graph(text: str) -> PseudoGraph:
 def _parse_graph(lines: list[str]) -> PseudoGraph:
     """parse_graph on the lines of the text, in one pass to packed rows."""
     n = _parse_count(lines)
+    if n > GRAPH_MAX_N:
+        raise GraphFormatError(
+            f"line 1: vertex count {n} exceeds bound {GRAPH_MAX_N}"
+        )
     if n > 0 and len(lines) < 2:
         raise GraphFormatError("line 2: expected the label line")
     label_tokens = lines[1].split() if len(lines) > 1 else []

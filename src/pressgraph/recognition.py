@@ -18,10 +18,9 @@ operations for an n-vertex graph.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
-from .gf2 import BitMatrix, _press, _rank, iter_support
+from .gf2 import BitMatrix, _press, _rank, _Record, iter_support
 from .graphs import PseudoGraph, _reach
 from .cholesky import UnpressableError, find_pressing_order
 
@@ -47,23 +46,28 @@ class OracleBoundError(ValueError):
     """The graph exceeds the configured brute-force size bound."""
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(_Record):
     """Outcome of the four column checks on an upper-triangular root.
 
     Each ``failN`` is the first witness column (1-based) when property N
     fails, else None.  ``column_weights`` are the integer column sums.
     """
 
-    prop1: bool
-    prop2: bool
-    prop3: bool
-    prop4: bool
-    fail1: int | None
-    fail2: int | None
-    fail3: int | None
-    fail4: int | None
-    column_weights: tuple[int, ...]
+    __match_args__ = (
+        "prop1", "prop2", "prop3", "prop4",
+        "fail1", "fail2", "fail3", "fail4", "column_weights",
+    )
+
+    def __init__(
+        self, prop1: bool, prop2: bool, prop3: bool, prop4: bool,
+        fail1: int | None, fail2: int | None, fail3: int | None,
+        fail4: int | None, column_weights: tuple[int, ...],
+    ) -> None:
+        self.__dict__.update(
+            prop1=prop1, prop2=prop2, prop3=prop3, prop4=prop4,
+            fail1=fail1, fail2=fail2, fail3=fail3, fail4=fail4,
+            column_weights=column_weights,
+        )
 
     @property
     def all_pass(self) -> bool:
@@ -142,8 +146,7 @@ def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
     )
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
+class RecognitionReport(_Record):
     """Verdict of the unique-pressability pipeline.
 
     On yes, ``sequence`` is the unique successful pressing sequence in
@@ -154,11 +157,20 @@ class RecognitionReport:
     removed before the pipeline ran.
     """
 
-    verdict: bool
-    sequence: tuple[int, ...] | None = None
-    reason: str | None = None
-    column: int | None = None
-    stripped: tuple[int, ...] = ()
+    __match_args__ = ("verdict", "sequence", "reason", "column", "stripped")
+
+    def __init__(
+        self,
+        verdict: bool,
+        sequence: tuple[int, ...] | None = None,
+        reason: str | None = None,
+        column: int | None = None,
+        stripped: tuple[int, ...] = (),
+    ) -> None:
+        self.__dict__.update(
+            verdict=verdict, sequence=sequence, reason=reason, column=column,
+            stripped=stripped,
+        )
 
     def to_text(self) -> str:
         lines = [f"verdict: {'yes' if self.verdict else 'no'}"]

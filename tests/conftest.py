@@ -23,6 +23,7 @@ from pressgraph import (
     shift_labels,
 )
 from pressgraph.cli import main as cli_main
+from pressgraph.graphs import GRAPH_MAX_N
 
 
 def pytest_collection_modifyitems(config, items):
@@ -152,6 +153,10 @@ def reference_parse_graph(text):
         ) from None
     if n < 0:
         raise GraphFormatError(f"line 1: negative vertex count {n}")
+    if n > GRAPH_MAX_N:
+        raise GraphFormatError(
+            f"line 1: vertex count {n} exceeds bound {GRAPH_MAX_N}"
+        )
     if n > 0 and len(lines) < 2:
         raise GraphFormatError("line 2: expected the label line")
     label_tokens = lines[1].split() if len(lines) > 1 else []

@@ -5,10 +5,12 @@ failure, 2 for parse or usage errors.
 """
 
 import multiprocessing
+import os
 import subprocess
 import sys
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ import pressgraph
 from conftest import reference_generate_cup, run_cli
 from pressgraph import PseudoGraph, cli, cup_count, generate, total_count
 from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N, GENERATE_MAX_N
+from pressgraph.graphs import GRAPH_MAX_N
 
 DATA = Path(__file__).parent / "data"
 CUP2 = str(DATA / "cup2.graph")
@@ -72,6 +75,18 @@ def test_recognize_empty_file(tmp_path):
     assert code == 2
     assert out == ""
     assert "line 1" in err
+
+
+def test_graph_text_vertex_bound():
+    """Graph text may declare GRAPH_MAX_N vertices but not one more; the
+    refusal reads only line 1."""
+    n = GRAPH_MAX_N
+    labels = " ".join(map(str, range(1, n + 1)))
+    code, out, _ = run_cli(["recognize", "-"], stdin=f"{n}\n{labels}\n")
+    assert (code, out) == (0, f"verdict: yes\nsequence:\nstripped: {labels}\n")
+    code, out, err = run_cli(["recognize", "-"], stdin=f"{n + 1}\n")
+    assert (code, out) == (2, "")
+    assert f"line 1: vertex count {n + 1} exceeds bound {n}" in err
 
 
 def test_recognize_missing_file():
@@ -351,17 +366,31 @@ def test_census_cap_overrides_the_oracle_bound(monkeypatch):
     assert "exceeds bound" in err
 
 
-def test_cli_import_leaves_multiprocessing_out():
+@pytest.mark.parametrize(
+    "flags, modules",
+    [
+        ((), ("multiprocessing",)),
+        ((), ("dataclasses",)),
+        ((), ("inspect",)),
+        # Without site, which may preload typing, typing stays out too.
+        (("-S",), ("multiprocessing", "dataclasses", "inspect", "typing")),
+    ],
+    ids=("multiprocessing", "dataclasses", "inspect", "no-site"),
+)
+def test_cli_import_leaves_out(flags, modules):
     src = Path(pressgraph.__file__).resolve().parents[1]
-    code = "import pressgraph.cli, sys; print('multiprocessing' in sys.modules)"
+    code = (
+        "import pressgraph.cli, sys; "
+        f"print(sorted(set({modules!r}) & set(sys.modules)))"
+    )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": str(src)},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert (proc.returncode, proc.stdout) == (0, "[]\n")
 
 
 # ---------------------------------------------------------------- convert
@@ -467,19 +496,23 @@ _SEQUENCE = st.one_of(
     command=st.sampled_from(("recognize", "press", "root", "convert")),
     text=st.one_of(st.text(max_size=300), _GRAPHISH, _records()),
     sequence=_SEQUENCE,
+    via_stdin=st.booleans(),
 )
 def test_fuzzed_input_keeps_the_exit_contract(
-    tmp_path_factory, command, text, sequence
+    tmp_path_factory, command, text, sequence, via_stdin
 ):
-    """Any text read by recognize, press, root or convert ends in exit
-    0, 1 or 2 and never in an exception; exit 2 prints nothing on
-    stdout."""
-    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
-    path.write_text(text, encoding="utf-8")
-    argv = [command, str(path)]
+    """Any text read by recognize, press, root or convert, from a file
+    or from standard input, ends in exit 0, 1 or 2 and never in an
+    exception; exit 2 prints nothing on stdout."""
+    if via_stdin:
+        argv = [command, "-"]
+    else:
+        path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        argv = [command, str(path)]
     if command == "press":
         argv.insert(1, f"--sequence={sequence}")
-    code, out, _ = run_cli(argv)
+    code, out, _ = run_cli(argv, stdin=text if via_stdin else None)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
@@ -538,15 +571,40 @@ def _size_commands(draw):
     fixed += [str(n) for n in _OVER_CAP[command]]
     free = st.text(max_size=8).filter(_neither_int_nor_flag)
     token = draw(st.one_of(st.sampled_from(fixed), free))
-    return [command, token]
+    argv = [command, token]
+    if command == "census" and draw(st.booleans()):
+        jobs = ("x", "1.5", "", "0", "-1", "-3", "1", "2", "3", "4")
+        argv += ["--jobs", draw(st.sampled_from(jobs))]
+    return argv
 
 
 @settings(max_examples=150, deadline=None)
 @given(argv=_size_commands())
 def test_fuzzed_sizes_keep_the_exit_contract(argv):
-    """count, census and generate on any n token end in exit 0, 1 or 2
-    and never in an exception; exit 2 prints nothing on stdout."""
-    code, out, _ = run_cli(argv)
+    """count, census and generate on any n token, and census on any
+    --jobs token, end in exit 0, 1 or 2 and never in an exception; exit
+    2 prints nothing on stdout.  A stand-in Pool maps in this process,
+    so no worker starts, and records its size: never above --jobs."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    with mock.patch.object(multiprocessing, "Pool", InlinePool):
+        code, out, _ = run_cli(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
+    if sizes:
+        (size,) = sizes
+        assert code == 0 and 2 <= size <= min(int(argv[-1]), os.cpu_count())

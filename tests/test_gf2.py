@@ -1,5 +1,8 @@
 """Unit tests for the bit-packed GF(2) layer."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,9 @@ from hypothesis import strategies as st
 from pressgraph import (
     BitMatrix,
     BitRow,
+    CensusResult,
+    CholeskyRoot,
+    Component,
     DimensionError,
     MatrixFormatError,
     gf2_dot,
@@ -14,6 +20,10 @@ from pressgraph import (
     iter_support,
     leading_principal_minors,
     principal_submatrix,
+    PressingOrder,
+    PropertyReport,
+    PseudoGraph,
+    RecognitionReport,
     transpose_mul,
 )
 from conftest import dense_det2
@@ -236,3 +246,100 @@ def test_principal_submatrix(example5):
         principal_submatrix(example5, 4, 6)
     with pytest.raises(IndexError):
         principal_submatrix(example5, 4, 2)
+
+
+# ---------------------------------------------------------------- records
+
+# Each of the package's records, built by keyword with every default
+# left out, then its fields in order and its repr.
+_RECORDS = [
+    (
+        lambda: BitRow(length=3),
+        {"length": 3, "bits": 0},
+        "BitRow(length=3, bits=0)",
+    ),
+    (
+        lambda: BitMatrix(n=2, row_bits=[1, 2]),
+        {"n": 2, "row_bits": (1, 2)},
+        "BitMatrix(n=2, row_bits=(1, 2))",
+    ),
+    (
+        lambda: Component(labels=(4, 7), trivial=False),
+        {"labels": (4, 7), "trivial": False},
+        "Component(labels=(4, 7), trivial=False)",
+    ),
+    (
+        lambda: PseudoGraph(labels=[1, 2], edges=[(1, 1), (2, 1)]),
+        {"labels": (1, 2), "rows": (3, 1)},
+        "PseudoGraph(labels=(1, 2), rows=(3, 1))",
+    ),
+    (
+        lambda: PressingOrder(permutation=(2, 1), complete=True),
+        {"permutation": (2, 1), "complete": True, "first_tie": None,
+         "pivot_rows": ()},
+        "PressingOrder(permutation=(2, 1), complete=True, first_tie=None, "
+        "pivot_rows=())",
+    ),
+    (
+        lambda: CholeskyRoot(matrix=BitMatrix(1, (1,)), order=(5,)),
+        {"matrix": BitMatrix(1, (1,)), "order": (5,)},
+        "CholeskyRoot(matrix=BitMatrix(n=1, row_bits=(1,)), order=(5,))",
+    ),
+    (
+        lambda: PropertyReport(
+            prop1=True, prop2=False, prop3=True, prop4=True, fail1=None,
+            fail2=1, fail3=None, fail4=None, column_weights=(2, 1),
+        ),
+        {"prop1": True, "prop2": False, "prop3": True, "prop4": True,
+         "fail1": None, "fail2": 1, "fail3": None, "fail4": None,
+         "column_weights": (2, 1)},
+        "PropertyReport(prop1=True, prop2=False, prop3=True, prop4=True, "
+        "fail1=None, fail2=1, fail3=None, fail4=None, "
+        "column_weights=(2, 1))",
+    ),
+    (
+        lambda: RecognitionReport(verdict=False, reason="TIE"),
+        {"verdict": False, "sequence": None, "reason": "TIE",
+         "column": None, "stripped": ()},
+        "RecognitionReport(verdict=False, sequence=None, reason='TIE', "
+        "column=None, stripped=())",
+    ),
+    (
+        lambda: CensusResult(
+            n=2, labeled_total=5, up_iso_classes=3, cup_iso_classes=1
+        ),
+        {"n": 2, "labeled_total": 5, "up_iso_classes": 3,
+         "cup_iso_classes": 1},
+        "CensusResult(n=2, labeled_total=5, up_iso_classes=3, "
+        "cup_iso_classes=1)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, fields, text",
+    _RECORDS,
+    ids=[text.partition("(")[0] for _, _, text in _RECORDS],
+)
+def test_records_keep_the_frozen_dataclass_contract(build, fields, text):
+    """Fields, defaults, equality within one class only, field-tuple
+    hash, repr, refused assignment and deletion, and pickle and copy
+    round trips."""
+    rec = build()
+    names = tuple(fields)
+    values = tuple(fields.values())
+    assert rec.__match_args__ == names
+    assert tuple(getattr(rec, name) for name in names) == values
+    assert repr(rec) == text
+    twin = build()
+    assert rec == twin and not rec != twin
+    assert hash(rec) == hash(twin) == hash(values)
+    assert rec != values and values != rec
+    for name in names:
+        with pytest.raises(AttributeError, match=f"field '{name}'"):
+            setattr(rec, name, None)
+        with pytest.raises(AttributeError, match=f"field '{name}'"):
+            delattr(rec, name)
+    for back in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+        assert type(back) is type(rec) and back == rec
+        assert repr(back) == text

@@ -394,6 +394,7 @@ def _outcome(parse, text):
 @example("2\n2 1\n1 5\n1 z\n")
 @example("2\n2 1\n1 5\n\nmore\n")
 @example("2\n1 2\n1 1\n\n2 2\n")
+@example("99999\n1 2\n1 2\n")
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(st.text(max_size=200), _graphish_texts(), _near_records()))
 def test_parser_matches_the_set_based_reference(text):
