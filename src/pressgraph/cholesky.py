@@ -11,7 +11,9 @@ The greedy order below repeatedly presses a looped vertex of maximum
 degree (loop included), breaking ties toward the smaller label.  For a
 graph with exactly one successful pressing sequence the maximum is
 provably unique at every step, so an observed tie is a certificate of
-non-uniqueness; the order records where the first one happened.
+non-uniqueness; the order records where the first one happened.  With
+``stop_at_tie`` the greedy returns at that tie, before pressing, since
+no later press can change the verdict.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ class UnpressableError(ValueError):
 
 
 class PressingOrder(_Record):
-    """A successful pressing order found by the greedy strategy.
+    """A pressing order found by the greedy strategy.
 
-    ``permutation`` lists the pressed labels in press order; vertices
-    left unpressed ended isolated and loopless, so ``complete`` is True
-    on every successful return.  ``first_tie`` is the 1-based step at
-    which two looped vertices first shared the maximum degree, or None.
+    ``permutation`` lists the pressed labels in press order.
+    ``first_tie`` is the 1-based step at which two looped vertices first
+    shared the maximum degree, or None.  ``complete`` is True when the
+    greedy ran to the end: the vertices left unpressed ended isolated
+    and loopless.  It is False only when ``stop_at_tie`` stopped the
+    greedy at its first tie; ``permutation`` then holds the
+    ``first_tie - 1`` presses made before it.
 
     ``pivot_rows`` holds each pressed row as it was just before its
     press, in the graph's own columns.  With the columns put in press
@@ -146,7 +151,9 @@ def instructional_root(
     return CholeskyRoot(BitMatrix(n, tuple(root)), order)
 
 
-def find_pressing_order(g: PseudoGraph) -> PressingOrder:
+def find_pressing_order(
+    g: PseudoGraph, *, stop_at_tie: bool = False
+) -> PressingOrder:
     """Greedy pressing order: max-degree looped vertex, smallest label first.
 
     Presses a copy of the graph's packed rows in place until no looped
@@ -154,6 +161,10 @@ def find_pressing_order(g: PseudoGraph) -> PressingOrder:
     UnpressableError carries one leftover component.  That failure
     certifies the graph is not uniquely pressable; it does not rule out
     a successful sequence along some other order.
+
+    With ``stop_at_tie`` the greedy returns at its first tie, before
+    pressing, with ``complete`` False and the presses made so far; a
+    stall met before any tie still raises UnpressableError.
     """
     labels = g.labels
     n = g.n
@@ -179,6 +190,10 @@ def find_pressing_order(g: PseudoGraph) -> PressingOrder:
             break
         if tied and first_tie is None:
             first_tie = len(order) + 1
+            if stop_at_tie:
+                return PressingOrder(
+                    tuple(order), False, first_tie, tuple(pivots)
+                )
         order.append(labels[best])
         pivots.append(rows[best])
         alive = _press(rows, best, alive)

@@ -38,7 +38,11 @@ from .graphs import (
     parse_auto,
     parse_graph,
 )
-from .recognition import count_sequences_bruteforce, recognize
+from .recognition import (
+    OracleBoundError,
+    count_sequences_bruteforce,
+    recognize,
+)
 
 __all__ = ["main"]
 
@@ -50,6 +54,14 @@ CENSUS_MAX_N = 7
 
 GENERATE_MAX_N = 22
 """Largest n generate accepts, to bound output: 3^10 graphs, 11.7 MB."""
+
+ORACLE_MAX_N = 16
+"""Largest n recognize --oracle-bound counts, whatever the flag says.
+
+The brute-force memo holds up to 2^n states: 16 looped isolated
+vertices take about 1.4 s and 29 MiB, and each two more vertices cost
+about 5 times as much.
+"""
 
 
 def _read_input(path: str) -> str:
@@ -97,10 +109,18 @@ def _sequence_arg(raw: str) -> tuple[int, ...]:
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
+    bound = args.oracle_bound
+    if bound is not None:
+        # Refused before any work, as census refuses above its cap.
+        bound = min(bound, ORACLE_MAX_N)
+        if g.n > bound:
+            raise OracleBoundError(
+                f"oracle count of n={g.n} exceeds bound {bound}"
+            )
     report = recognize(g)
     out = report.to_text()
-    if args.oracle_bound is not None:
-        n_seq = count_sequences_bruteforce(g, bound=args.oracle_bound)
+    if bound is not None:
+        n_seq = count_sequences_bruteforce(g, bound=bound)
         out += f"sequences: {n_seq}\n"
     sys.stdout.write(out)
     return 0 if report.verdict else 1
@@ -208,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         metavar="N",
         help="also count sequences by brute force, for graphs up to N "
-        "vertices",
+        f"vertices (at most {ORACLE_MAX_N})",
     )
     p.set_defaults(func=_cmd_recognize)
 

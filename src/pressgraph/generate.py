@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import os
-import random
 from collections.abc import Iterable, Iterator
 from operator import or_
 
@@ -168,8 +167,10 @@ def random_cup(n: int, rng: random.Random | None = None) -> PseudoGraph:
     """A pseudo-random cup graph on n vertices (not uniform over them)."""
     if n < 1:
         raise ValueError("n must be positive")
-    pick = rng.choice if rng is not None else random.choice
-    return cup_from_choices(pick("LR") for _ in range(n - 1))
+    if rng is None:
+        # Imported here: it costs every command's start-up otherwise.
+        import random as rng
+    return cup_from_choices(rng.choice("LR") for _ in range(n - 1))
 
 
 def cup_count(n: int) -> int:

@@ -150,11 +150,13 @@ class RecognitionReport(_Record):
     """Verdict of the unique-pressability pipeline.
 
     On yes, ``sequence`` is the unique successful pressing sequence in
-    original labels.  On no, ``reason`` is one of the stable codes
-    MULTI_COMPONENT, UNPRESSABLE (greedy pressing stalled with edges
-    left), TIE, or PROP1..PROP4 (the latter with ``column`` as the
-    witness).  ``stripped`` lists the loopless isolated vertices
-    removed before the pipeline ran.
+    original labels.  On no, ``reason`` names the first certificate the
+    pipeline met, as one of the stable codes: MULTI_COMPONENT; then TIE
+    (two looped vertices shared the maximum degree) or UNPRESSABLE (the
+    greedy stalled with edges left), whichever came at the earlier
+    step; then PROP1..PROP4 with ``column`` as the witness.
+    ``stripped`` lists the loopless isolated vertices removed before
+    the pipeline ran.
     """
 
     __match_args__ = ("verdict", "sequence", "reason", "column", "stripped")
@@ -193,11 +195,13 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     """Decide whether g has exactly one successful pressing sequence.
 
     Loopless isolated vertices (zero rows) are stripped first.  More
-    than one non-trivial component, a stalled greedy order, or a greedy
-    tie are immediate rejections (each impossible for a uniquely
-    pressable graph).  Otherwise the greedy's pivot rows, the root in
-    g's own columns, are checked against the four column properties in
-    press order; the matrix is eliminated only once.
+    than one non-trivial component rejects with MULTI_COMPONENT.  The
+    greedy order then stops at its first tie (TIE) or stall
+    (UNPRESSABLE), whichever comes first; each is impossible for a
+    uniquely pressable graph, so no press past it is made.  Otherwise
+    the greedy's pivot rows, the root in g's own columns, are checked
+    against the four column properties in press order (PROPk); the
+    matrix is eliminated only once.
     """
     labels, rows = g.labels, g.rows
     stripped = tuple(lab for lab, r in zip(labels, rows) if not r)
@@ -210,7 +214,7 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
             False, reason=REASON_MULTI_COMPONENT, stripped=stripped
         )
     try:
-        greedy = find_pressing_order(g)
+        greedy = find_pressing_order(g, stop_at_tie=True)
     except UnpressableError:
         return RecognitionReport(
             False, reason=REASON_UNPRESSABLE, stripped=stripped

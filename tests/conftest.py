@@ -94,6 +94,35 @@ def naive_press(g, v):
     return PseudoGraph(g.labels, edges ^ toggle)
 
 
+def naive_greedy(g):
+    """The max-degree greedy by the definition, on edge sets.
+
+    Presses, through naive_press, a looped vertex of maximum degree
+    (the loop counts once), the earliest label on ties, until no looped
+    vertex is left.  Returns (order, first_tie, stalled): the pressed
+    labels, the 1-based step of the first tie or None, and whether
+    edges remain.  Kept apart from find_pressing_order, which runs on
+    packed rows, so the two can check each other.
+    """
+    order, first_tie = [], None
+    while True:
+        edges = g.edges
+        degree = dict.fromkeys(g.labels, 0)
+        for u, v in edges:
+            degree[u] += 1
+            if u != v:
+                degree[v] += 1
+        looped = [v for v in g.labels if (v, v) in edges]
+        if not looped:
+            return tuple(order), first_tie, bool(edges)
+        top = max(degree[v] for v in looped)
+        best = [v for v in looped if degree[v] == top]
+        if len(best) > 1 and first_tie is None:
+            first_tie = len(order) + 1
+        order.append(best[0])
+        g = naive_press(g, best[0])
+
+
 def naive_successful_sequences(g, bound=8):
     """Every successful pressing sequence of g, by plain recursion.
 

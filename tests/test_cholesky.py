@@ -1,10 +1,14 @@
 """Unit tests for root construction and the greedy order finder."""
 
+import itertools
+import random
+
 import pytest
 
 from pressgraph import (
     BitMatrix,
     NotOrderPressableError,
+    PressingOrder,
     PseudoGraph,
     UnpressableError,
     all_pseudographs,
@@ -17,7 +21,7 @@ from pressgraph import (
     random_cup,
     transpose_mul,
 )
-from conftest import naive_successful_sequences
+from conftest import naive_greedy, naive_successful_sequences
 
 
 # ----------------------------------------------------- instructional_root
@@ -207,3 +211,73 @@ def test_greedy_pivot_rows_are_the_root_in_graph_columns():
         k = len(got)
         assert tuple(got) == root.row_bits[:k]
         assert not any(root.row_bits[k:])
+
+
+def _stop_at_tie_graphs():
+    """Every graph with n <= 4, then seeded random graphs up to n = 40:
+    dense ones, which mostly tie or stall, and cups with a few toggled
+    pairs, which tie late or not at all."""
+    yield from itertools.chain(*(all_pseudographs(n) for n in range(5)))
+    rng = random.Random(40)
+    for trial in range(400):
+        n = rng.randint(1, 40)
+        labels = range(1, n + 1)
+        if trial % 2:
+            p = rng.choice((0.05, 0.1, 0.3, 0.5))
+            pairs = itertools.combinations_with_replacement(labels, 2)
+            yield PseudoGraph(labels, {e for e in pairs if rng.random() < p})
+        else:
+            g = random_cup(n, rng)
+            toggled = {
+                tuple(sorted(rng.choices(labels, k=2)))
+                for _ in range(rng.randint(0, 2))
+            }
+            yield PseudoGraph(labels, g.edges ^ toggled)
+
+
+def test_stop_at_tie_is_the_full_greedy_cut_at_its_first_tie():
+    """stop_at_tie=True returns the default call's result when nothing
+    ties; else its first tie, with complete False and the presses made
+    before it.  A stall before any tie raises the same error."""
+    kinds = set()
+    for g in _stop_at_tie_graphs():
+        try:
+            full = find_pressing_order(g)
+        except UnpressableError as exc:
+            full, stall = None, exc
+        tie = naive_greedy(g)[1]
+        if tie is None:
+            kinds.add("no tie" if full else "stall")
+            if full is not None:
+                assert find_pressing_order(g, stop_at_tie=True) == full
+                continue
+            with pytest.raises(UnpressableError) as exc:
+                find_pressing_order(g, stop_at_tie=True)
+            assert exc.value.component == stall.component
+            assert str(exc.value) == str(stall)
+            continue
+        kinds.add("tie" if full else "tie, then stall")
+        early = find_pressing_order(g, stop_at_tie=True)
+        assert (early.first_tie, early.complete) == (tie, False)
+        assert len(early.permutation) == len(early.pivot_rows) == tie - 1
+        if full is not None:
+            assert full.first_tie == tie
+            assert early.permutation == full.permutation[: tie - 1]
+            assert early.pivot_rows == full.pivot_rows[: tie - 1]
+            continue
+        # No full order to cut: check the presses against the edge-set
+        # greedy, and each pivot row against the state it was read off.
+        assert early.permutation == naive_greedy(g)[0][: tie - 1]
+        state = g
+        for v, row in zip(early.permutation, early.pivot_rows):
+            assert row == state.rows[g.labels.index(v)]
+            state = state.press(v)
+    assert kinds == {"no tie", "stall", "tie", "tie, then stall"}
+
+
+def test_stop_at_tie_is_keyword_only(cup2):
+    with pytest.raises(TypeError):
+        find_pressing_order(cup2, True)
+    h = PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 2), (1, 3)}))
+    po = find_pressing_order(h, stop_at_tie=True)
+    assert po == PressingOrder((1,), False, 2, (0b111,))

@@ -19,13 +19,19 @@ from hypothesis import strategies as st
 import pressgraph
 from conftest import reference_generate_cup, run_cli
 from pressgraph import PseudoGraph, cli, cup_count, generate, total_count
-from pressgraph.cli import CENSUS_MAX_N, COUNT_MAX_N, GENERATE_MAX_N
+from pressgraph.cli import (
+    CENSUS_MAX_N,
+    COUNT_MAX_N,
+    GENERATE_MAX_N,
+    ORACLE_MAX_N,
+)
 from pressgraph.graphs import GRAPH_MAX_N
 
 DATA = Path(__file__).parent / "data"
 CUP2 = str(DATA / "cup2.graph")
 EXAMPLE5 = str(DATA / "example5.matrix")
 TIE4 = str(DATA / "tie4.graph")
+TIE_THEN_STALL = str(DATA / "tie_then_stall.graph")
 PENDANT = str(DATA / "pendant_loop.graph")
 LOOP_PATH4 = str(DATA / "loop_path4.graph")
 REVERSED = str(DATA / "reversed_pair.graph")
@@ -50,6 +56,16 @@ def test_recognize_no_tie():
     assert (code, out) == (1, "verdict: no\nreason: TIE\n")
 
 
+def test_recognize_reports_the_tie_before_the_stall():
+    # The greedy ties at step 1 (vertices 1 and 2); run on, it would
+    # press 1 and stall on {2, 3, 4}.  The tie comes first.
+    code, out, _ = run_cli(["recognize", TIE_THEN_STALL])
+    assert (code, out) == (1, "verdict: no\nreason: TIE\n")
+    argv = ["recognize", "--oracle-bound", "4", TIE_THEN_STALL]
+    code, out, _ = run_cli(argv)
+    assert (code, out) == (1, "verdict: no\nreason: TIE\nsequences: 6\n")
+
+
 def test_recognize_multi_component_matrix_input():
     code, out, _ = run_cli(["recognize", EXAMPLE5])
     assert code == 1
@@ -61,6 +77,47 @@ def test_recognize_oracle_bound_appends_count():
     assert (code, out) == (1, "verdict: no\nreason: TIE\nsequences: 2\n")
     code, out, _ = run_cli(["recognize", "--oracle-bound", "4", CUP2])
     assert (code, out) == (0, "verdict: yes\nsequence: 1 2\nsequences: 1\n")
+
+
+def test_recognize_oracle_cap_overrides_the_flag(monkeypatch):
+    """--oracle-bound counts up to ORACLE_MAX_N vertices whatever it
+    says; a larger graph, or one above the flag, is refused before
+    recognize or the brute force runs."""
+    bounds = []
+
+    def stand_in(g, bound):
+        bounds.append(bound)
+        return 7
+
+    def looped_isolated(n):
+        labels = " ".join(map(str, range(1, n + 1)))
+        loops = "".join(f"{v} {v}\n" for v in range(1, n + 1))
+        return f"{n}\n{labels}\n{loops}"
+
+    monkeypatch.setattr(cli, "count_sequences_bruteforce", stand_in)
+    assert ORACLE_MAX_N == 16
+    text = looped_isolated(ORACLE_MAX_N)
+    code, out, _ = run_cli(["recognize", "--oracle-bound", "40", "-"], text)
+    assert (code, out) == (
+        1, "verdict: no\nreason: MULTI_COMPONENT\nsequences: 7\n"
+    )
+    assert bounds == [ORACLE_MAX_N]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("refused input reached the pipeline")
+
+    monkeypatch.setattr(cli, "count_sequences_bruteforce", refuse)
+    monkeypatch.setattr(cli, "recognize", refuse)
+    n = ORACLE_MAX_N + 1
+    text = looped_isolated(n)
+    for flag in ("40", str(n)):
+        argv = ["recognize", "--oracle-bound", flag, "-"]
+        code, out, err = run_cli(argv, text)
+        assert (code, out) == (2, "")
+        assert f"oracle count of n={n} exceeds bound {ORACLE_MAX_N}" in err
+    code, out, err = run_cli(["recognize", "--oracle-bound", "3", TIE4])
+    assert (code, out) == (2, "")
+    assert "oracle count of n=4 exceeds bound 3" in err
 
 
 def test_recognize_reads_stdin():
@@ -372,8 +429,11 @@ def test_census_cap_overrides_the_oracle_bound(monkeypatch):
         ((), ("multiprocessing",)),
         ((), ("dataclasses",)),
         ((), ("inspect",)),
-        # Without site, which may preload typing, typing stays out too.
-        (("-S",), ("multiprocessing", "dataclasses", "inspect", "typing")),
+        # Without site, which may preload typing and random, they stay out.
+        (
+            ("-S",),
+            ("multiprocessing", "dataclasses", "inspect", "typing", "random"),
+        ),
     ],
     ids=("multiprocessing", "dataclasses", "inspect", "no-site"),
 )

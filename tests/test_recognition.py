@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from pressgraph import cholesky
 from pressgraph import (
     BitMatrix,
     OracleBoundError,
@@ -27,7 +28,7 @@ from pressgraph import (
     recognize,
     transpose_mul,
 )
-from conftest import naive_successful_sequences
+from conftest import naive_greedy, naive_successful_sequences
 
 
 def tie4_graph():
@@ -206,6 +207,70 @@ def test_recognize_tie():
     assert tie4_graph().is_successful((3, 4, 1, 2))
 
 
+def test_recognize_tie_means_two_sequences():
+    """TIE claims two successful sequences: every graph with n <= 4,
+    and every eighth one with n = 5, that recognize rejects with TIE
+    has at least two."""
+    graphs = itertools.chain(
+        *(all_pseudographs(n) for n in range(0, 5)),
+        itertools.islice(all_pseudographs(5), 0, None, 8),
+    )
+    ties = 0
+    for g in graphs:
+        if recognize(g).reason == REASON_TIE:
+            ties += 1
+            assert count_sequences_bruteforce(g) >= 2
+    assert ties > 0
+
+
+def _mirror(m, rng):
+    """Two copies of a random loopy graph on m vertices, joined by the
+    rungs i -- i + m and relabeled at random.  Swapping the copies is
+    an automorphism, so a looped vertex of maximum degree always has a
+    twin: the greedy ties at its first step."""
+    half = {
+        (u, v)
+        for u in range(1, m + 1)
+        for v in range(u, m + 1)
+        if rng.random() < 0.5
+    }
+    edges = half | {(u + m, v + m) for u, v in half}
+    edges |= {(i, i + m) for i in range(1, m + 1)}
+    perm = list(range(1, 2 * m + 1))
+    rng.shuffle(perm)
+    edges = {tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in edges}
+    return PseudoGraph(range(1, 2 * m + 1), edges)
+
+
+def test_recognize_presses_nothing_past_the_first_tie(monkeypatch):
+    """recognize makes first_tie - 1 presses on a TIE reject, where the
+    full greedy runs on: a seeded mirrored graph on 64 vertices, and
+    every graph with n <= 4."""
+    mirror = _mirror(32, random.Random(64))
+    full = find_pressing_order(mirror)
+    assert full.first_tie == 1 and len(full.permutation) > 1
+    presses = 0
+
+    def counting(*args):
+        nonlocal presses
+        presses += 1
+        return real_press(*args)
+
+    real_press = cholesky._press
+    monkeypatch.setattr(cholesky, "_press", counting)
+    later_ties = 0
+    for g in [mirror, *(g for n in range(5) for g in all_pseudographs(n))]:
+        presses = 0
+        rep = recognize(g)
+        if rep.reason != REASON_TIE:
+            assert g is not mirror
+            continue
+        tie = naive_greedy(g)[1]
+        assert presses == tie - 1
+        later_ties += tie > 1
+    assert later_ties > 0
+
+
 def test_recognize_property_failure():
     rep = recognize(prop4_witness())
     assert not rep.verdict
@@ -300,9 +365,13 @@ def test_pressing_length_is_the_length_of_every_successful_sequence():
 def reference_recognize(g):
     """recognize rebuilt from public calls with a second elimination.
 
-    The greedy order is found first; then the adjacency is reordered to
-    that order, factored again by instructional_root, and the root is
-    checked by check_properties.
+    The greedy order is found first, by naive_greedy on edge sets; then
+    the adjacency is reordered to that order, factored again by
+    instructional_root, and the root is checked by check_properties.
+
+    The reason is the first certificate met.  A stall shows only after
+    the greedy's last press, and a tie needs two looped vertices, so a
+    tie at any step comes before a stall: TIE wins over UNPRESSABLE.
     """
     comps = g.components()
     stripped = tuple(
@@ -316,15 +385,13 @@ def reference_recognize(g):
     if not nontrivial:
         return RecognitionReport(True, sequence=(), stripped=stripped)
     core = g.induced(nontrivial[0].labels)
-    try:
-        greedy = find_pressing_order(core)
-    except UnpressableError:
+    seq, first_tie, stalled = naive_greedy(core)
+    if first_tie is not None:
+        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
+    if stalled:
         return RecognitionReport(
             False, reason=REASON_UNPRESSABLE, stripped=stripped
         )
-    if greedy.first_tie is not None:
-        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
-    seq = greedy.permutation
     full = seq + tuple(sorted(set(core.labels) - set(seq)))
     reordered = core.relabel({lab: t for t, lab in enumerate(full, 1)})
     root = instructional_root(reordered.adjacency_matrix())
