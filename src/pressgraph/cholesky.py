@@ -138,7 +138,15 @@ def instructional_root(
         order = tuple(order)
         if len(order) != n or len(set(order)) != n:
             raise ValueError(f"order must list {n} distinct labels")
-    rows = list(a.row_bits)
+    return CholeskyRoot(BitMatrix(n, _root_rows(list(a.row_bits))), order)
+
+
+def _root_rows(rows: list[int]) -> list[int]:
+    """instructional_root's elimination on symmetric rows, unchecked.
+
+    Eliminates ``rows`` in place and returns the root's rows.
+    """
+    n = len(rows)
     root = [0] * n
     k = 0
     while k < n and (rows[k] >> k) & 1:
@@ -148,7 +156,7 @@ def instructional_root(
     for i in range(k, n):
         if rows[i]:
             raise NotOrderPressableError(stuck_index=k + 1)
-    return CholeskyRoot(BitMatrix(n, tuple(root)), order)
+    return root
 
 
 def find_pressing_order(

@@ -16,11 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cholesky import (
-    NotOrderPressableError,
-    UnpressableError,
-    instructional_root,
-)
+from .cholesky import NotOrderPressableError, UnpressableError, _root_rows
 from .generate import (
     NotUniquelyPressableError,
     _cups,
@@ -28,10 +24,10 @@ from .generate import (
     cup_count,
     total_count,
 )
+from .gf2 import BitMatrix
 from .graphs import (
     InvalidPressError,
     PseudoGraph,
-    UnknownVertexError,
     _detect_format,
     _parse_graph,
     _parse_matrix,
@@ -97,6 +93,11 @@ def _to_dot(g: PseudoGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_dot(path: str, g: PseudoGraph) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_to_dot(g))
+
+
 def _sequence_arg(raw: str) -> tuple[int, ...]:
     tokens = raw.replace(",", " ").split()
     try:
@@ -128,29 +129,23 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 def _cmd_press(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
-    # Only --trace keeps the earlier states; replay holds one at a time.
-    states = [g] if args.trace else None
-    for pos, v in enumerate(args.sequence, start=1):
-        try:
-            g = g.press(v)
-        except (InvalidPressError, UnknownVertexError):
-            raise InvalidPressError(v, position=pos) from None
-        if states is not None:
-            states.append(g)
-    if states is not None:
-        sys.stdout.write("\n".join(s.to_text() for s in states))
-    else:
-        sys.stdout.write(g.to_text())
+    # One row list is pressed in place; only --trace copies out a graph
+    # after each press, so without it no state between is ever built.
+    states = g._replay(args.sequence, trace=args.trace)
+    # The DOT file is written first, so a path that cannot be opened
+    # exits 2 with nothing on stdout.
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_to_dot(g))
+        _write_dot(args.dot, states[-1])
+    sys.stdout.write("\n".join(s.to_text() for s in states))
     return 0
 
 
 def _cmd_root(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
-    root = instructional_root(g.adjacency_matrix(), order=g.labels)
-    sys.stdout.write(root.matrix.to_text())
+    # The rows are symmetric by construction: graph text sets both
+    # bits of every edge, and matrix text passed from_adjacency.
+    root = _root_rows(list(g.rows))
+    sys.stdout.write(BitMatrix(g.n, root).to_text())
     return 0
 
 
@@ -194,13 +189,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     src = _detect_format(lines)
     g = _parse_matrix(text) if src == "matrix" else _parse_graph(lines)
     target = args.format or ("matrix" if src == "graph" else "graph")
+    if args.dot:
+        _write_dot(args.dot, g)
     if target == "graph":
         sys.stdout.write(g.to_text())
     else:
         sys.stdout.write(g.adjacency_matrix().to_text())
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(_to_dot(g))
     return 0
 
 

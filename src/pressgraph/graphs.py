@@ -167,13 +167,7 @@ class PseudoGraph(_Record):
         The first invalid press aborts with an InvalidPressError whose
         ``position`` is its 1-based index in the sequence.
         """
-        g = self
-        for pos, v in enumerate(seq, start=1):
-            try:
-                g = g.press(v)
-            except (InvalidPressError, UnknownVertexError):
-                raise InvalidPressError(v, position=pos) from None
-        return g
+        return self._replay(seq)[-1]
 
     def is_successful(self, seq: Sequence[int]) -> bool:
         """True when every press is valid and the final graph is edgeless."""
@@ -182,6 +176,31 @@ class PseudoGraph(_Record):
         except InvalidPressError:
             return False
         return not any(g.rows)
+
+    def _replay(
+        self, seq: Sequence[int], trace: bool = False
+    ) -> list["PseudoGraph"]:
+        """apply_sequence on one copy of the rows, pressed in place.
+
+        Each press XORs only the rows still nonzero.  Returns the final
+        graph, preceded with ``trace`` by the input and every state
+        between.
+        """
+        labels = self.labels
+        index = {lab: i for i, lab in enumerate(labels)}
+        rows = list(self.rows)
+        live = [i for i, r in enumerate(rows) if r]
+        states = [self] if trace else []
+        for pos, v in enumerate(seq, start=1):
+            i = index.get(v)
+            if i is None or not rows[i] >> i & 1:
+                raise InvalidPressError(v, position=pos)
+            live = _press(rows, i, live)
+            if trace:
+                states.append(PseudoGraph._from_rows(labels, rows))
+        if not trace:
+            states.append(PseudoGraph._from_rows(labels, rows))
+        return states
 
     def components(self) -> list[Component]:
         """Connected components, ordered by smallest label."""

@@ -17,8 +17,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgraph
-from conftest import reference_generate_cup, run_cli
-from pressgraph import PseudoGraph, cli, cup_count, generate, total_count
+from conftest import naive_press, reference_generate_cup, run_cli
+from pressgraph import (
+    BitMatrix,
+    InvalidPressError,
+    NotOrderPressableError,
+    PseudoGraph,
+    cli,
+    cup_count,
+    cup_from_choices,
+    generate,
+    instructional_root,
+    parse_auto,
+    total_count,
+)
 from pressgraph.cli import (
     CENSUS_MAX_N,
     COUNT_MAX_N,
@@ -212,29 +224,127 @@ def test_press_malformed_sequence_is_usage_error():
 def test_press_holds_earlier_states_only_under_trace(
     monkeypatch, tmp_path, trace
 ):
-    """Without --trace each state is freed once the next is pressed."""
+    """Without --trace no graph but the input and the final state is
+    ever built; with it, every state is alive when the output is made."""
     g = pressgraph.cup_from_choices("RRLRLRRLRLR")
     seq = pressgraph.recognize(g).sequence
     path = tmp_path / "cup.graph"
     path.write_text(g.to_text())
-    press = PseudoGraph.press
-    states = []  # weak references to the input and every pressed state
-    alive = []  # earlier states still alive at each press
+    built = []  # weak references to every graph made, in order
+    alive = []  # how many of those are alive at each to_text
 
-    def counting(self, v):
-        if not states:
-            states.append(weakref.ref(self))
-        alive.append(sum(r() is not None for r in states) - 1)
-        out = press(self, v)
-        states.append(weakref.ref(out))
-        return out
+    from_rows = PseudoGraph._from_rows.__func__
+    init, to_text = PseudoGraph.__init__, PseudoGraph.to_text
 
-    monkeypatch.setattr(PseudoGraph, "press", counting)
+    def recording_from_rows(cls, labels, rows):
+        h = from_rows(cls, labels, rows)
+        built.append(weakref.ref(h))
+        return h
+
+    def recording_init(self, labels, edges):
+        init(self, labels, edges)
+        built.append(weakref.ref(self))
+
+    def recording_to_text(self):
+        alive.append(sum(r() is not None for r in built))
+        return to_text(self)
+
+    monkeypatch.setattr(
+        PseudoGraph, "_from_rows", classmethod(recording_from_rows)
+    )
+    monkeypatch.setattr(PseudoGraph, "__init__", recording_init)
+    monkeypatch.setattr(PseudoGraph, "to_text", recording_to_text)
     argv = ["press", "--sequence", ",".join(map(str, seq)), str(path)]
     code, out, _ = run_cli(argv + ["--trace"] * trace)
     assert code == 0
     assert out.endswith(f"12\n{' '.join(map(str, g.labels))}\n")
-    assert alive == (list(range(len(seq))) if trace else [0] * len(seq))
+    states = len(seq) + 1 if trace else 2
+    assert len(built) == states
+    assert alive == [states] * (states if trace else 1)
+
+
+def naive_replay(g, seq):
+    """Press ``seq`` on ``g`` one naive_press at a time.
+
+    Returns every state from ``g`` through the last valid press, and
+    the (position, vertex) of the first invalid press or None.
+    """
+    states = [g]
+    for pos, v in enumerate(seq, start=1):
+        try:
+            states.append(naive_press(states[-1], v))
+        except InvalidPressError:
+            return states, (pos, v)
+    return states, None
+
+
+@st.composite
+def _replays(draw):
+    """A graph on labels from 1..40 and a sequence to press on it.
+
+    The sequence is a run of valid presses, drawn against the edge-set
+    state each meets, then up to two presses of any kind: a looped
+    vertex, a loopless one, a label outside the graph or a repeat.  It
+    may be empty and may go on past its first invalid press.
+    """
+    labels = sorted(draw(st.sets(st.integers(1, 40), max_size=7)))
+    pairs = [(u, v) for u in labels for v in labels if u <= v]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):
+        edges |= {(v, v) for v in labels}
+    g = h = PseudoGraph(labels, edges)
+    outside = [0, -3] + [v for v in range(1, 42) if v not in labels][-2:]
+    seq = []
+    for _ in range(draw(st.integers(0, 8))):
+        looped = sorted(h.looped_vertices())
+        if not looped:
+            break
+        seq.append(draw(st.sampled_from(looped)))
+        h = naive_press(h, seq[-1])
+    for _ in range(draw(st.integers(0, 2))):
+        looped = sorted(h.looped_vertices()) if h else []
+        pools = (
+            looped,
+            [v for v in labels if v not in looped],
+            outside,
+            seq,
+        )
+        pool = draw(st.sampled_from(pools)) or labels or outside
+        v = draw(st.sampled_from(pool))
+        seq.append(v)
+        if h is not None:
+            h = naive_press(h, v) if v in looped else None
+    return g, tuple(seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_replays())
+def test_replay_matches_naive_presses(case):
+    """apply_sequence, is_successful and press, with and without
+    --trace, agree with a replay on edge sets: every state, and the
+    position and message of the first invalid press."""
+    g, seq = case
+    states, error = naive_replay(g, seq)
+    argv = ["press", "--sequence=" + ",".join(map(str, seq)), "-"]
+    if error is None:
+        final = g.apply_sequence(seq)
+        assert final == states[-1]
+        assert final.edges == states[-1].edges
+        assert g.is_successful(seq) == (not states[-1].edges)
+        for trace, shown in ((False, states[-1:]), (True, states)):
+            got = run_cli(argv + ["--trace"] * trace, stdin=g.to_text())
+            assert got == (0, "\n".join(s.to_text() for s in shown), "")
+        return
+    pos, v = error
+    message = f"press {pos} invalid: vertex {v} is not looped"
+    with pytest.raises(InvalidPressError) as exc:
+        g.apply_sequence(seq)
+    assert (exc.value.vertex, exc.value.position) == (v, pos)
+    assert str(exc.value) == message
+    assert not g.is_successful(seq)
+    for trace in (False, True):
+        got = run_cli(argv + ["--trace"] * trace, stdin=g.to_text())
+        assert got == (1, "", f"error: {message}\n")
 
 
 def test_press_writes_dot(tmp_path):
@@ -261,6 +371,18 @@ def test_dot_includes_plain_edges(tmp_path):
     assert "  1 -- 2;\n" in text
 
 
+@pytest.mark.parametrize("command", ["press", "convert"])
+def test_unwritable_dot_exits_2_with_empty_stdout(tmp_path, command):
+    """The DOT file is opened before stdout is written, so a path that
+    cannot be written keeps the rule: exit 2, nothing on stdout."""
+    bad = tmp_path / "missing" / "x.dot"
+    with pytest.raises(OSError) as want:
+        open(bad, "w")
+    code, out, err = run_cli([command, "--dot", str(bad), CUP2])
+    assert (code, out) == (2, "")
+    assert err == f"error: {want.value}\n"
+
+
 # ------------------------------------------------------------------- root
 
 
@@ -276,6 +398,71 @@ def test_root_unpressable_order_exits_1():
     code, out, err = run_cli(["root", REVERSED])
     assert (code, out) == (1, "")
     assert "stuck at index 1" in err
+
+
+def _library_root(g):
+    """root's (exit code, stdout, stderr) by the public instructional_root."""
+    try:
+        u = instructional_root(g.adjacency_matrix()).matrix
+    except NotOrderPressableError as exc:
+        return 1, "", f"error: {exc}\n"
+    return 0, u.to_text(), ""
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_root_matches_the_library_with_one_symmetry_check(monkeypatch, name):
+    """The rows are symmetric once parsed, so root checks no symmetry:
+    only the matrix parser calls is_symmetric, once."""
+    path = DATA / name
+    want = _library_root(parse_auto(path.read_text()))
+    calls = []
+    is_symmetric = BitMatrix.is_symmetric
+
+    def counting(self):
+        calls.append(self)
+        return is_symmetric(self)
+
+    monkeypatch.setattr(BitMatrix, "is_symmetric", counting)
+    assert run_cli(["root", str(path)]) == want
+    assert len(calls) == (name.endswith(".matrix"))
+
+
+def _refuse_symmetry_check(self):
+    raise AssertionError("root checked symmetry again")
+
+
+@st.composite
+def _root_inputs(draw):
+    """Graphs on labels from 1..40: random, or cups in label order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 12))
+        return cup_from_choices("".join(draw(st.lists(
+            st.sampled_from("LR"), min_size=n, max_size=n
+        ))))
+    labels = sorted(draw(st.sets(st.integers(1, 40), max_size=8)))
+    pairs = [(u, v) for u in labels for v in labels if u <= v]
+    loops = [(v, v) for v in labels]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if loops and draw(st.booleans()):
+        edges |= set(loops)
+    return PseudoGraph(labels, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=_root_inputs(), matrix=st.booleans())
+def test_root_matches_the_library_on_random_graphs(g, matrix):
+    """root prints the public instructional_root's bytes on graph and
+    matrix text; on graph text it never calls is_symmetric."""
+    want = _library_root(g)
+    if matrix:
+        text = g.adjacency_matrix().to_text()
+        got = run_cli(["root", "--format", "matrix", "-"], stdin=text)
+    else:
+        with mock.patch.object(
+            BitMatrix, "is_symmetric", _refuse_symmetry_check
+        ):
+            got = run_cli(["root", "-"], stdin=g.to_text())
+    assert got == want
 
 
 # ------------------------------------------- generate / count / census
