@@ -21,6 +21,7 @@ from .gf2 import (
 )
 from .graphs import (
     Component,
+    Edge,
     GraphFormatError,
     InvalidPressError,
     PseudoGraph,
@@ -65,56 +66,16 @@ from .generate import (
     shift_labels,
     total_count,
 )
+from . import cholesky, generate, gf2, graphs, recognition
 
 __version__ = "0.1.0"
 
+# Each module's own __all__ is the one list of its public names.
 __all__ = [
     "__version__",
-    "BitRow",
-    "BitMatrix",
-    "DimensionError",
-    "MatrixFormatError",
-    "gf2_dot",
-    "iter_support",
-    "transpose_mul",
-    "leading_principal_minors",
-    "principal_submatrix",
-    "PseudoGraph",
-    "Component",
-    "GraphFormatError",
-    "UnknownVertexError",
-    "InvalidPressError",
-    "from_adjacency",
-    "parse_graph",
-    "parse_auto",
-    "detect_format",
-    "CholeskyRoot",
-    "PressingOrder",
-    "NotOrderPressableError",
-    "UnpressableError",
-    "instructional_root",
-    "find_pressing_order",
-    "PropertyReport",
-    "RecognitionReport",
-    "OracleBoundError",
-    "REASON_MULTI_COMPONENT",
-    "REASON_UNPRESSABLE",
-    "REASON_TIE",
-    "check_properties",
-    "recognize",
-    "count_sequences_bruteforce",
-    "pressing_length",
-    "NotUniquelyPressableError",
-    "extend_right",
-    "extend_left",
-    "shift_labels",
-    "generate_cup",
-    "cup_from_choices",
-    "random_cup",
-    "cup_count",
-    "total_count",
-    "all_pseudographs",
-    "canonical_form",
-    "CensusResult",
-    "census",
+    *gf2.__all__,
+    *graphs.__all__,
+    *cholesky.__all__,
+    *recognition.__all__,
+    *generate.__all__,
 ]

@@ -164,19 +164,36 @@ def find_pressing_order(
 ) -> PressingOrder:
     """Greedy pressing order: max-degree looped vertex, smallest label first.
 
-    Presses a copy of the graph's packed rows in place until no looped
-    vertex remains, keeping each pivot row.  If any edge survives,
-    UnpressableError carries one leftover component.  That failure
-    certifies the graph is not uniquely pressable; it does not rule out
-    a successful sequence along some other order.
+    Runs the greedy core, _greedy, until no looped vertex remains.  If
+    any edge survives, UnpressableError carries one leftover component.
+    That failure certifies the graph is not uniquely pressable; it does
+    not rule out a successful sequence along some other order.
 
     With ``stop_at_tie`` the greedy returns at its first tie, before
     pressing, with ``complete`` False and the presses made so far; a
     stall met before any tie still raises UnpressableError.
     """
     labels = g.labels
-    n = g.n
-    rows = list(g.rows)
+    order, pivots, first_tie, rows, alive = _greedy(g.rows, stop_at_tie)
+    seq = tuple(labels[i] for i in order)
+    if stop_at_tie and first_tie is not None:
+        return PressingOrder(seq, False, first_tie, tuple(pivots))
+    if alive:
+        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
+    return PressingOrder(seq, True, first_tie, tuple(pivots))
+
+
+def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
+    """The one greedy loop, on bare symmetric rows pressed in a copy.
+
+    Returns ``(order, pivots, first_tie, rows, alive)``: the pressed
+    indices, each one's row just before its press, the 1-based step of
+    the first tie or None, the pressed copy and the indices still
+    nonzero.  ``alive`` is nonempty after a stall, or after
+    ``stop_at_tie`` stopped the loop at ``first_tie``.
+    """
+    n = len(rows)
+    rows = list(rows)
     bits = [1 << i for i in range(n)]
     order: list[int] = []
     pivots: list[int] = []
@@ -199,12 +216,8 @@ def find_pressing_order(
         if tied and first_tie is None:
             first_tie = len(order) + 1
             if stop_at_tie:
-                return PressingOrder(
-                    tuple(order), False, first_tie, tuple(pivots)
-                )
-        order.append(labels[best])
+                break
+        order.append(best)
         pivots.append(rows[best])
         alive = _press(rows, best, alive)
-    if alive:
-        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
-    return PressingOrder(tuple(order), True, first_tie, tuple(pivots))
+    return order, pivots, first_tie, rows, alive

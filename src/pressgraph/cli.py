@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from .cholesky import NotOrderPressableError, UnpressableError, _root_rows
 from .generate import (
@@ -198,7 +199,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="pressgraph",
         description="Pressing dynamics on loopy graphs over GF(2).",

@@ -27,7 +27,7 @@ from operator import or_
 
 from .gf2 import _gram, _Record, iter_support
 from .graphs import PseudoGraph
-from .recognition import OracleBoundError, RecognitionReport, recognize
+from .recognition import OracleBoundError, RecognitionReport, _recognize
 
 __all__ = [
     "NotUniquelyPressableError",
@@ -54,7 +54,7 @@ def _is_cup_form(g: PseudoGraph) -> bool:
     """True when g is a cup graph under its canonical labels."""
     if g.n == 0 or g.labels != tuple(range(1, g.n + 1)):
         return False
-    report = recognize(g)
+    report = _recognize(g.labels, g.rows)
     return report.verdict and report.sequence == g.labels
 
 
@@ -244,8 +244,14 @@ def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
 def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
     """The graphs on labels 1..n with pair-mask in [lo, hi), in order."""
     labels = tuple(range(1, n + 1))
-    low, *high = _pair_tables(n)
     wrap = PseudoGraph._from_rows
+    for rows in _mask_rows(n, lo, hi):
+        yield wrap(labels, rows)
+
+
+def _mask_rows(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The rows of the graphs with pair-mask in [lo, hi), in order."""
+    low, *high = _pair_tables(n)
     base_of = None
     for mask in range(lo, hi):
         # The bytes above the lowest change once per 256 masks.
@@ -255,7 +261,7 @@ def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
             for table in high:
                 base = tuple(map(or_, base, table[m & 255]))
                 m >>= 8
-        yield wrap(labels, map(or_, base, low[mask & 255]))
+        yield tuple(map(or_, base, low[mask & 255]))
 
 
 def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
@@ -305,7 +311,7 @@ class CensusResult(_Record):
 
 
 def _press_order_key(
-    g: PseudoGraph, report: RecognitionReport
+    labels: tuple[int, ...], rows: tuple[int, ...], report: RecognitionReport
 ) -> tuple[int, tuple[int, ...]]:
     """Isomorphism class key of a yes graph, without relabeling search.
 
@@ -318,24 +324,28 @@ def _press_order_key(
     seq = report.sequence
     assert seq is not None
     pos = {lab: t for t, lab in enumerate(seq)}
-    row = dict(zip(g.labels, g.rows))
+    row = dict(zip(labels, rows))
     core = tuple(
-        sum(1 << pos[g.labels[j - 1]] for j in iter_support(row[lab]))
+        sum(1 << pos[labels[j - 1]] for j in iter_support(row[lab]))
         for lab in seq
     )
     return len(report.stripped), core
 
 
 def _census_range(args: tuple[int, int, int]) -> tuple[int, dict]:
-    """Recognize every pair-mask in [lo, hi); tally the yes graphs."""
+    """Recognize every pair-mask in [lo, hi) on its bare rows.
+
+    Returns the yes count and, per class key, its connected flag.
+    """
+    labels = tuple(range(1, args[0] + 1))
     count = 0
     classes: dict[tuple, bool] = {}
-    for g in _pseudographs(*args):
-        report = recognize(g)
+    for rows in _mask_rows(*args):
+        report = _recognize(labels, rows)
         if not report.verdict:
             continue
         count += 1
-        key = _press_order_key(g, report)
+        key = _press_order_key(labels, rows, report)
         if key not in classes:
             # Connected with an edge: no padding and a nonempty core.
             classes[key] = not report.stripped and bool(report.sequence)

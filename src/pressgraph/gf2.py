@@ -246,11 +246,11 @@ class BitMatrix(_Record):
         return BitRow(self.n, bits)
 
     def transpose(self) -> "BitMatrix":
-        cols = [0] * self.n
-        for i, r in enumerate(self.row_bits):
-            for j in iter_support(r):
-                cols[j - 1] |= 1 << i
-        return BitMatrix(self.n, tuple(cols))
+        # Rows n..1 as text, column n first: the k-th characters of the
+        # texts spell column n - k, row n first, i.e. its packed bits.
+        n = self.n
+        texts = [format(r, f"0{n}b") for r in reversed(self.row_bits)]
+        return BitMatrix(n, [int("".join(c), 2) for c in zip(*texts)][::-1])
 
     def is_symmetric(self) -> bool:
         return self.row_bits == self.transpose().row_bits
@@ -272,12 +272,9 @@ class BitMatrix(_Record):
         Line 1 is n, then n lines of n characters from {0, 1}, row i on
         line i+1 with column 1 leftmost.
         """
-        lines = [str(self.n)]
-        for r in self.row_bits:
-            lines.append(
-                "".join("1" if (r >> j) & 1 else "0" for j in range(self.n))
-            )
-        return "\n".join(lines) + "\n"
+        width = f"0{self.n}b"
+        lines = [format(r, width)[::-1] for r in self.row_bits]
+        return "\n".join([str(self.n), *lines]) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
@@ -299,15 +296,13 @@ class BitMatrix(_Record):
             if i + 1 >= len(lines):
                 raise MatrixFormatError(f"line {ln}: missing row {i + 1}")
             raw = lines[i + 1].strip()
-            if len(raw) != n or any(c not in "01" for c in raw):
+            # strip("01") leaves any other character; int() alone would
+            # also take "_", "+" and inner spaces.
+            if len(raw) != n or raw.strip("01"):
                 raise MatrixFormatError(
                     f"line {ln}: expected {n} characters from {{0,1}}"
                 )
-            bits = 0
-            for j, c in enumerate(raw):
-                if c == "1":
-                    bits |= 1 << j
-            rows.append(bits)
+            rows.append(int(raw[::-1], 2))
         for extra in lines[n + 1 :]:
             if extra.strip():
                 raise MatrixFormatError("unexpected content after the matrix")

@@ -275,8 +275,10 @@ def _reach(rows: Sequence[int], comp: int) -> int:
     frontier = comp
     while frontier:
         reach = 0
-        for j in iter_support(frontier):
-            reach |= rows[j - 1]
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & ~comp
         comp |= frontier
     return comp

@@ -19,10 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from itertools import compress
+from operator import not_
 
 from .gf2 import BitMatrix, _press, _rank, _Record, iter_support
 from .graphs import PseudoGraph, _reach
-from .cholesky import UnpressableError, find_pressing_order
+from .cholesky import UnpressableError, _greedy
 
 __all__ = [
     "PropertyReport",
@@ -203,8 +205,18 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     against the four column properties in press order (PROPk); the
     matrix is eliminated only once.
     """
-    labels, rows = g.labels, g.rows
-    stripped = tuple(lab for lab, r in zip(labels, rows) if not r)
+    return _recognize(g.labels, g.rows)
+
+
+def _recognize(
+    labels: Sequence[int], rows: Sequence[int]
+) -> RecognitionReport:
+    """recognize on bare labels and symmetric rows, as census calls it.
+
+    No graph, PressingOrder or label index is built: the greedy core
+    works on indices, and only the report carries labels.
+    """
+    stripped = tuple(compress(labels, map(not_, rows)))
     first = next(filter(None, rows), 0)
     if not first:
         return RecognitionReport(True, sequence=(), stripped=stripped)
@@ -213,23 +225,20 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
         return RecognitionReport(
             False, reason=REASON_MULTI_COMPONENT, stripped=stripped
         )
-    try:
-        greedy = find_pressing_order(g, stop_at_tie=True)
-    except UnpressableError:
+    order, pivots, first_tie, _, alive = _greedy(rows, True)
+    if first_tie is not None:
+        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
+    if alive:
         return RecognitionReport(
             False, reason=REASON_UNPRESSABLE, stripped=stripped
         )
-    if greedy.first_tie is not None:
-        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
-    seq = greedy.permutation
-    index = dict(zip(labels, range(len(labels))))
-    order = [index[lab] for lab in seq]
-    pressed = set(order)
-    order += [i for i, r in enumerate(rows) if r and i not in pressed]
-    rows = greedy.pivot_rows + (0,) * (len(order) - len(seq))
-    report = _check_columns(rows, order)
+    pressed = len(order)
+    seen = set(order)
+    order += [i for i, r in enumerate(rows) if r and i not in seen]
+    report = _check_columns(pivots + [0] * (len(order) - pressed), order)
     failure = report.first_failure()
     if failure is None:
+        seq = tuple(labels[i] for i in order[:pressed])
         return RecognitionReport(True, sequence=seq, stripped=stripped)
     num, col = failure
     return RecognitionReport(

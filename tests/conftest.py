@@ -16,13 +16,18 @@ from pressgraph import (
     BitMatrix,
     GraphFormatError,
     InvalidPressError,
+    MatrixFormatError,
+    PressingOrder,
     PseudoGraph,
     UnknownVertexError,
+    UnpressableError,
     extend_left,
     extend_right,
+    iter_support,
     shift_labels,
 )
 from pressgraph.cli import main as cli_main
+from pressgraph.gf2 import _press
 from pressgraph.graphs import GRAPH_MAX_N
 
 
@@ -226,6 +231,102 @@ def reference_parse_graph(text):
         return PseudoGraph(labels, frozenset(edges))
     except (ValueError, UnknownVertexError) as exc:
         raise GraphFormatError(str(exc)) from None
+
+
+def reference_find_pressing_order(g, *, stop_at_tie=False):
+    """The greedy order with its loop inline on the graph.
+
+    A copy of find_pressing_order from before its loop moved into the
+    bare-row core cholesky._greedy, kept as an oracle: every graph must
+    give an equal PressingOrder, or an UnpressableError with the same
+    component and message, under both.
+    """
+    labels = g.labels
+    n = g.n
+    rows = list(g.rows)
+    bits = [1 << i for i in range(n)]
+    order: list[int] = []
+    pivots: list[int] = []
+    first_tie: int | None = None
+    alive = [i for i in range(n) if rows[i]]
+    while alive:
+        best = -1
+        best_deg = 0
+        tied = False
+        for i in alive:
+            r = rows[i]
+            if r & bits[i]:
+                d = r.bit_count()
+                if d > best_deg:
+                    best, best_deg, tied = i, d, False
+                elif d == best_deg:
+                    tied = True
+        if best < 0:
+            break
+        if tied and first_tie is None:
+            first_tie = len(order) + 1
+            if stop_at_tie:
+                return PressingOrder(
+                    tuple(order), False, first_tie, tuple(pivots)
+                )
+        order.append(labels[best])
+        pivots.append(rows[best])
+        alive = _press(rows, best, alive)
+    if alive:
+        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
+    return PressingOrder(tuple(order), True, first_tie, tuple(pivots))
+
+
+def reference_matrix_from_text(text):
+    """The matrix text format, validated and packed one bit at a time.
+
+    A copy of BitMatrix.from_text from before it checked each row with
+    str.strip and packed it with int(), kept as an oracle: every text
+    must give an equal matrix or the same MatrixFormatError message.
+    """
+    lines = text.splitlines()
+    if not lines or not lines[0].strip():
+        raise MatrixFormatError("line 1: expected the matrix size")
+    try:
+        n = int(lines[0].strip())
+    except ValueError:
+        raise MatrixFormatError(
+            f"line 1: expected an integer size, got {lines[0]!r}"
+        ) from None
+    if n < 0:
+        raise MatrixFormatError(f"line 1: negative size {n}")
+    rows = []
+    for i in range(n):
+        ln = i + 2
+        if i + 1 >= len(lines):
+            raise MatrixFormatError(f"line {ln}: missing row {i + 1}")
+        raw = lines[i + 1].strip()
+        if len(raw) != n or any(c not in "01" for c in raw):
+            raise MatrixFormatError(
+                f"line {ln}: expected {n} characters from {{0,1}}"
+            )
+        bits = 0
+        for j, c in enumerate(raw):
+            if c == "1":
+                bits |= 1 << j
+        rows.append(bits)
+    for extra in lines[n + 1 :]:
+        if extra.strip():
+            raise MatrixFormatError("unexpected content after the matrix")
+    return BitMatrix(n, tuple(rows))
+
+
+def reference_transpose_rows(m):
+    """Rows of the transpose of m, one set bit at a time.
+
+    A copy of BitMatrix.transpose from before it zipped the rows' binary
+    texts, kept as an oracle.
+    """
+    cols = [0] * m.n
+    for i, r in enumerate(m.row_bits):
+        for j in iter_support(r):
+            cols[j - 1] |= 1 << i
+    return tuple(cols)
 
 
 def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:

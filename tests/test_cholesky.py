@@ -21,7 +21,11 @@ from pressgraph import (
     random_cup,
     transpose_mul,
 )
-from conftest import naive_greedy, naive_successful_sequences
+from conftest import (
+    naive_greedy,
+    naive_successful_sequences,
+    reference_find_pressing_order,
+)
 
 
 # ----------------------------------------------------- instructional_root
@@ -273,6 +277,32 @@ def test_stop_at_tie_is_the_full_greedy_cut_at_its_first_tie():
             assert row == state.rows[g.labels.index(v)]
             state = state.press(v)
     assert kinds == {"no tie", "stall", "tie", "tie, then stall"}
+
+
+def _greedy_outcome(find, g, stop_at_tie):
+    try:
+        return find(g, stop_at_tie=stop_at_tie)
+    except UnpressableError as exc:
+        return type(exc), exc.component, str(exc)
+
+
+def test_greedy_matches_the_inline_reference():
+    """find_pressing_order, a wrapper of the bare-row core _greedy,
+    gives the old inline greedy's orders, and its components and
+    messages on a stall, with and without stop_at_tie: on every graph
+    with n <= 4, every 8th with n = 5, and 400 random ones up to 40."""
+    graphs = itertools.chain(
+        _stop_at_tie_graphs(),
+        itertools.islice(all_pseudographs(5), 0, None, 8),
+    )
+    kinds = set()
+    for g in graphs:
+        for stop in (False, True):
+            got = _greedy_outcome(find_pressing_order, g, stop)
+            want = _greedy_outcome(reference_find_pressing_order, g, stop)
+            assert got == want, (g, stop)
+            kinds.add(got[0] if isinstance(got, tuple) else got.complete)
+    assert kinds == {True, False, UnpressableError}
 
 
 def test_stop_at_tie_is_keyword_only(cup2):

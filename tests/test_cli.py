@@ -4,6 +4,7 @@ Exit codes: 0 for yes/success, 1 for a no verdict or a dynamics
 failure, 2 for parse or usage errors.
 """
 
+import argparse
 import multiprocessing
 import os
 import subprocess
@@ -681,6 +682,15 @@ def test_usage_errors():
     assert run_cli(["count", "x"])[0] == 2
 
 
+def test_package_exports_the_modules_public_names():
+    """pressgraph.__all__ is built from each module's own __all__; every
+    name in it is bound in the package, and none is listed twice."""
+    names = pressgraph.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(pressgraph, name) for name in names)
+    assert {"recognize", "census", "BitMatrix", "Edge"} <= set(names)
+
+
 def test_outputs_are_stable_across_runs():
     corpus = [
         ["recognize", CUP2],
@@ -696,6 +706,44 @@ def test_outputs_are_stable_across_runs():
     first = [run_cli(args) for args in corpus]
     second = [run_cli(args) for args in corpus]
     assert first == second
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    """The argparse tree is built by the first main call and reused."""
+    run_cli(["count", "7"])
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli(["count", "7"]) == (0, "cup=18 total=41\n", "")
+    assert run_cli(["census", "2"])[0] == 0
+    assert made == []
+
+
+def test_reused_parser_matches_fresh_parsers():
+    """A mixed run through the one reused parser gives the outputs and
+    exit codes of a fresh parser per call: no flag, default or error
+    leaks from one call into the next."""
+    runs = [
+        ["recognize", CUP2],
+        ["press", "--sequence", "1", "--trace", PENDANT],
+        ["press", "--sequence", "1", PENDANT],
+        ["census", "3"],
+        ["census", "3", "--jobs"],
+    ]
+    reused = [run_cli(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 2]
+    assert reused[1][1] != reused[2][1]
+    assert "usage:" in reused[4][2]
 
 
 # ------------------------------------------------------------------ fuzz

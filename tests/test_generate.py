@@ -221,7 +221,7 @@ def test_press_order_key_agrees_with_canonical_form():
             report = recognize(g)
             if not report.verdict:
                 continue
-            key = generate._press_order_key(g, report)
+            key = generate._press_order_key(g.labels, g.rows, report)
             form = canonical_form(g)
             assert key_to_form.setdefault(key, form) == form
             assert form_to_key.setdefault(form, key) == key
@@ -230,6 +230,52 @@ def test_press_order_key_agrees_with_canonical_form():
         masks = 2 ** (n * (n + 1) // 2)
         _, classes = generate._census_range((n, 0, masks))
         assert classes == connected
+
+
+def test_census_range_matches_a_public_recognize_sweep():
+    """At n <= 4 the bare-row sweep counts the yes graphs of public
+    recognize, and flags the same classes, each named by canonical_form,
+    as connected with an edge."""
+    for n in range(0, 5):
+        count, flags = 0, {}
+        for g in all_pseudographs(n):
+            if recognize(g).verdict:
+                count += 1
+                conn = len(g.components()) == 1 and any(g.rows)
+                assert flags.setdefault(canonical_form(g), conn) == conn
+        masks = 2 ** (n * (n + 1) // 2)
+        got_count, classes = generate._census_range((n, 0, masks))
+        labels = tuple(range(1, n + 1))
+        got = {
+            canonical_form(PseudoGraph._from_rows(labels, core + (0,) * pad)):
+            conn
+            for (pad, core), conn in classes.items()
+        }
+        assert (got_count, got) == (count, flags)
+
+
+def test_census_builds_at_most_one_graph_per_yes_graph(monkeypatch):
+    """census runs the recognizer core on bare rows: no mask, yes or
+    no, costs a PseudoGraph of its own."""
+    built = []
+    from_rows = PseudoGraph._from_rows.__func__
+    init = PseudoGraph.__init__
+
+    def counted_from_rows(cls, labels, rows):
+        built.append(labels)
+        return from_rows(cls, labels, rows)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(
+        PseudoGraph, "_from_rows", classmethod(counted_from_rows)
+    )
+    monkeypatch.setattr(PseudoGraph, "__init__", counted_init)
+    result = census(4)
+    assert result.labeled_total == 137
+    assert len(built) <= result.labeled_total
 
 
 def test_canonical_form_is_isomorphism_invariant():

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,11 @@ from pressgraph import (
     RecognitionReport,
     transpose_mul,
 )
-from conftest import dense_det2
+from conftest import (
+    dense_det2,
+    reference_matrix_from_text,
+    reference_transpose_rows,
+)
 
 
 def bitrows(max_len=64):
@@ -173,6 +178,75 @@ def test_matrix_text_round_trip(example5):
 def test_matrix_parse_errors_name_the_line(text, fragment):
     with pytest.raises(MatrixFormatError, match=fragment):
         BitMatrix.from_text(text)
+
+
+def _matrix_texts():
+    """Seeded matrix texts, valid and not: random 0/1 rows at n = 0, 1,
+    2, 3, 8 and 70, each also with one row spoiled by a stray "2", "_",
+    "+", "-", inner or outer spaces, a tab, a wrong length or a missing
+    row, or with content after the matrix."""
+    rng = random.Random(12)
+    spoilers = (
+        lambda r: "2" + r[1:],
+        lambda r: r[:1] + "_" + r[1:-1],
+        lambda r: "+" + r[1:],
+        lambda r: "-" + r[1:],
+        lambda r: r[:1] + " " + r[2:],
+        lambda r: r[:1] + "\t" + r[2:],
+        lambda r: "  " + r + " ",
+        lambda r: r + rng.choice("01"),
+        lambda r: r[1:],
+        lambda r: "",
+    )
+    yield from ("", "x\n", "-1\n", "0", "0\n\n", "0\n1\n", "1\n", "1\n1")
+    for n in (0, 1, 2, 3, 8, 70):
+        for _ in range(6):
+            rows = [
+                "".join(rng.choice("01") for _ in range(n)) for _ in range(n)
+            ]
+            yield "\n".join([str(n), *rows]) + "\n"
+            yield "\n".join([str(n), *rows, "", "tail"]) + "\n"
+            yield "\n".join([str(n), *rows[:-1]]) + "\n"
+            if n:
+                k = rng.randrange(n)
+                for spoil in spoilers:
+                    bad = rows[:k] + [spoil(rows[k])] + rows[k + 1 :]
+                    yield "\n".join([str(n), *bad]) + "\n"
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except MatrixFormatError as exc:
+        return str(exc)
+
+
+def test_from_text_matches_the_per_bit_reference():
+    """from_text checks each row with str.strip and packs it with int();
+    every text gives the per-bit parser's matrix or its message."""
+    outcomes = set()
+    for text in _matrix_texts():
+        got = _parsed(BitMatrix.from_text, text)
+        assert got == _parsed(reference_matrix_from_text, text), text
+        outcomes.add(type(got))
+        if isinstance(got, BitMatrix):
+            assert BitMatrix.from_text(got.to_text()) == got
+    assert outcomes == {BitMatrix, str}
+
+
+def test_transpose_matches_the_per_bit_reference():
+    rng = random.Random(13)
+    for n in (0, 1, 2, 3, 8, 65, 130):
+        for density in (0.0, 0.1, 0.5, 1.0):
+            rows = tuple(
+                sum(1 << j for j in range(n) if rng.random() < density)
+                for _ in range(n)
+            )
+            m = BitMatrix(n, rows)
+            want = reference_transpose_rows(m)
+            assert m.transpose().row_bits == want
+            assert m.is_symmetric() == (rows == want)
+            assert transpose_mul(m).is_symmetric()
 
 
 # ------------------------------------------------------------ matrix ops
