@@ -3,9 +3,9 @@
 Pressing a looped vertex complements the edges among its neighbors and
 isolates it; a sequence of presses that empties the graph is called
 successful.  This package models the dynamic on a bit-packed GF(2)
-kernel, decides in O(n^3) whether a graph has exactly one successful
-sequence, generates and counts all graphs that do, and cross-checks
-everything against brute-force search at small sizes.
+kernel, decides in O(n^3/w) word operations whether a graph has
+exactly one successful sequence, generates and counts all graphs that
+do, and counts the successful sequences of small graphs by brute force.
 """
 
 from .gf2 import (

@@ -53,25 +53,18 @@ class UnpressableError(ValueError):
     ``component`` is one leftover non-trivial component (its labels) at
     the point where no looped vertex remained.  A uniquely pressable
     graph never reaches this state; a merely pressable one can, when
-    the max-degree choice strands part of the graph.  The greedy passes
-    ``_stuck`` = (labels, rows, seed) instead; the component is then
-    found on first read.
+    the max-degree choice strands part of the graph.
     """
 
-    def __init__(self, component: tuple[int, ...] | None, _stuck=None):
-        super().__init__(component)
-        self._component, self._stuck = component, _stuck
+    def __init__(self, component: tuple[int, ...]):
+        self.component = component
+        super().__init__(
+            f"pressing stalled: loopless component {component} remains"
+        )
 
-    @property
-    def component(self) -> tuple[int, ...]:
-        if self._component is None:
-            labels, rows, seed = self._stuck
-            comp = iter_support(_reach(rows, seed))
-            self._component = tuple(labels[j - 1] for j in comp)
-        return self._component
-
-    def __str__(self) -> str:
-        return f"pressing stalled: loopless component {self.component} remains"
+    def __reduce__(self):
+        # args holds the message; rebuild from the component instead.
+        return type(self), (self.component,)
 
 
 class PressingOrder(_Record):
@@ -179,7 +172,8 @@ def find_pressing_order(
     if stop_at_tie and first_tie is not None:
         return PressingOrder(seq, False, first_tie, tuple(pivots))
     if alive:
-        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
+        comp = iter_support(_reach(rows, rows[alive[0]]))
+        raise UnpressableError(tuple(labels[j - 1] for j in comp))
     return PressingOrder(seq, True, first_tie, tuple(pivots))
 
 

@@ -13,19 +13,20 @@ closed under two extension maps:
 
 Every cup graph on n+1 vertices arises from one on n vertices this way,
 so an L (prepend) / R (append) word names each one; cup_from_choices
-builds it on root rows in O(n^2).  Past its first letter, with LR and
-RL taken as one in each pair (2, 3), (4, 5), ..., the word is a ternary
-code: one word per graph, listed by generate_cup, counted by cup_count.
+builds it by running the two maps on adjacency rows.  Past its first
+letter, with LR and RL taken as one in each pair (2, 3), (4, 5), ...,
+the word is a ternary code: one word per graph, listed by
+generate_cup, counted by cup_count.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import or_
 
-from .gf2 import _gram, _Record, iter_support
+from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
 from .recognition import OracleBoundError, RecognitionReport, _recognize
 
@@ -50,17 +51,48 @@ class NotUniquelyPressableError(ValueError):
     """The input graph is not a canonically labeled cup graph."""
 
 
-def _is_cup_form(g: PseudoGraph) -> bool:
-    """True when g is a cup graph under its canonical labels."""
-    if g.n == 0 or g.labels != tuple(range(1, g.n + 1)):
-        return False
-    report = _recognize(g.labels, g.rows)
-    return report.verdict and report.sequence == g.labels
+def _is_cup_form(rows: Sequence[int]) -> bool:
+    """True when rows on labels 1..n are pressed uniquely in that order."""
+    labels = tuple(range(1, len(rows) + 1))
+    return bool(rows) and _recognize(labels, rows).sequence == labels
+
+
+def _looped(rows: Sequence[int]) -> int:
+    """Bitmask of the looped vertices of symmetric rows."""
+    return sum(1 << i for i, r in enumerate(rows) if r >> i & 1)
+
+
+def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
+    """Extension map c ("R" or "L") on 0-based rows and their looped mask.
+
+    Returns the new rows and their looped mask; ``rows`` may be reused.
+    "L" XORs the new vertex 0's row into each old looped row: that
+    toggles every pair inside the old looped set, loops included.
+    """
+    n = len(rows)
+    if c == "R":
+        bit = 1 << n
+        for j in iter_support(looped):
+            rows[j - 1] |= bit
+        if n % 2 == 0:
+            looped |= bit
+        rows.append(looped)
+        return rows, looped
+    if c == "L":
+        new = 1 | looped << 1
+        rows = [new, *[r << 1 for r in rows]]
+        # Old vertex j - 1 is now vertex j.
+        for j in iter_support(looped):
+            rows[j] ^= new
+        return rows, 1
+    raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
 
 
 def shift_labels(g: PseudoGraph, offset: int = 1) -> PseudoGraph:
     """Relabel every vertex by adding offset (labels must stay positive)."""
-    return g.relabel({lab: lab + offset for lab in g.labels})
+    labels = tuple(lab + offset for lab in g.labels)
+    PseudoGraph(labels, ())  # rejects a label <= 0
+    return PseudoGraph._from_rows(labels, g.rows)
 
 
 def extend_right(g: PseudoGraph, check: bool = True) -> PseudoGraph:
@@ -73,15 +105,12 @@ def extend_right(g: PseudoGraph, check: bool = True) -> PseudoGraph:
     n = g.n
     if g.labels != tuple(range(1, n + 1)):
         raise ValueError("labels must be 1..n")
-    if check and not _is_cup_form(g):
+    if check and not _is_cup_form(g.rows):
         raise NotUniquelyPressableError(
             "input is not a canonically labeled uniquely pressable graph"
         )
-    new = n + 1
-    extra = {(v, new) for v in g.looped_vertices()}
-    if n % 2 == 0:
-        extra.add((new, new))
-    return PseudoGraph(g.labels + (new,), g.edges | extra)
+    rows, _ = _extend(list(g.rows), _looped(g.rows), "R")
+    return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)
 
 
 def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
@@ -96,17 +125,13 @@ def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
     n = g.n
     if g.labels != tuple(range(2, n + 2)):
         raise ValueError("labels must be 2..n+1")
-    if check and not _is_cup_form(shift_labels(g, -1)):
+    if check and not _is_cup_form(g.rows):
         raise NotUniquelyPressableError(
             "input is not a shifted canonically labeled uniquely "
             "pressable graph"
         )
-    looped = sorted(g.looped_vertices())
-    toggle = set(itertools.combinations_with_replacement(looped, 2))
-    new_edges = {(1, 1)} | {(1, v) for v in looped}
-    return PseudoGraph(
-        (1,) + g.labels, (g.edges ^ toggle) | new_edges
-    )
+    rows, _ = _extend(list(g.rows), _looped(g.rows), "L")
+    return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)
 
 
 def generate_cup(n: int) -> tuple[PseudoGraph, ...]:
@@ -139,28 +164,13 @@ def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
 
     Each element of choices is "R" (append a last-pressed vertex) or
     "L" (prepend a first-pressed vertex); len(choices)+1 vertices
-    result.  The walk runs on packed upper-triangular root rows with
-    incrementally maintained column weights, so it costs O(n^2) total.
-    Distinct words may reach the same graph.
+    result.  The maps run on adjacency rows, with the looped mask
+    carried along.  Distinct words may reach the same graph.
     """
-    rows = [1]
-    weights = [1]
-    for step, c in enumerate(choices, start=2):
-        if c == "R":
-            m = 1 << (step - 1)
-            rows = [r | m for r in rows] + [m]
-            weights.append(step)
-        elif c == "L":
-            newrow = 1
-            for j, w in enumerate(weights):
-                if w & 1:
-                    newrow |= 1 << (j + 1)
-            rows = [newrow] + [r << 1 for r in rows]
-            weights = [1] + [w + (w & 1) for w in weights]
-        else:
-            raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
-    # The Gram product U^T U is symmetric by construction.
-    return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), _gram(rows))
+    rows, looped = [1], 1
+    for c in choices:
+        rows, looped = _extend(rows, looped, c)
+    return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), rows)
 
 
 def random_cup(n: int, rng: random.Random | None = None) -> PseudoGraph:

@@ -313,21 +313,14 @@ def transpose_mul(u: BitMatrix) -> BitMatrix:
     """Return the GF(2) product of the transpose of ``u`` with ``u``.
 
     Entry (i, j) of the result is the GF(2) dot product of columns i and
-    j of ``u``; the result is symmetric by construction.
+    j of ``u``; the result is symmetric by construction.  Row i of the
+    product is the XOR of the rows of ``u`` holding bit i.
     """
-    return BitMatrix(u.n, _gram(u.row_bits))
-
-
-def _gram(rows: Sequence[int]) -> list[int]:
-    """Rows of U^T U for the packed rows of a square U, unchecked.
-
-    Row i of the product is the XOR of the rows of U holding bit i.
-    """
-    out = [0] * len(rows)
-    for r in rows:
+    out = [0] * u.n
+    for r in u.row_bits:
         for i in iter_support(r):
             out[i - 1] ^= r
-    return out
+    return BitMatrix(u.n, out)
 
 
 def leading_principal_minors(a: BitMatrix) -> tuple[int, ...]:

@@ -233,6 +233,8 @@ def _recognize(
             False, reason=REASON_UNPRESSABLE, stripped=stripped
         )
     pressed = len(order)
+    # Unproven dead code: a test pins that no unpressed nonzero row is
+    # left here on any graph with n <= 5, but there is no proof.
     seen = set(order)
     order += [i for i, r in enumerate(rows) if r and i not in seen]
     report = _check_columns(pivots + [0] * (len(order) - pressed), order)
@@ -275,7 +277,7 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
         memo[state] = total
         return total
 
-    return count(tuple(g.adjacency_matrix().row_bits))
+    return count(g.rows)
 
 
 def pressing_length(g: PseudoGraph) -> int:

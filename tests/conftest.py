@@ -6,6 +6,7 @@ cross-checks.
 """
 
 import io
+import itertools
 import os
 import sys
 import contextlib
@@ -21,14 +22,11 @@ from pressgraph import (
     PseudoGraph,
     UnknownVertexError,
     UnpressableError,
-    extend_left,
-    extend_right,
     iter_support,
-    shift_labels,
 )
 from pressgraph.cli import main as cli_main
 from pressgraph.gf2 import _press
-from pressgraph.graphs import GRAPH_MAX_N
+from pressgraph.graphs import GRAPH_MAX_N, _reach
 
 
 def pytest_collection_modifyitems(config, items):
@@ -97,6 +95,35 @@ def naive_press(g, v):
         (nb[i], nb[j]) for i in range(len(nb)) for j in range(i, len(nb))
     }
     return PseudoGraph(g.labels, edges ^ toggle)
+
+
+def reference_extend_right(g):
+    """The append map R by its definition, on edge sets.
+
+    A copy of extend_right's body from before the two maps moved onto
+    adjacency rows, kept as an oracle: on labels 1..n, a new vertex
+    n+1 joined to every looped vertex, looped when n is even.  It
+    checks nothing, so it applies to any graph.
+    """
+    new = g.n + 1
+    extra = {(v, new) for v in g.looped_vertices()}
+    if g.n % 2 == 0:
+        extra.add((new, new))
+    return PseudoGraph(g.labels + (new,), g.edges | extra)
+
+
+def reference_extend_left(g):
+    """The prepend map L by its definition, on edge sets.
+
+    A copy of extend_left's body from before the two maps moved onto
+    adjacency rows, kept as an oracle: on labels 2..n+1, every pair
+    inside the looped set is toggled, loops included, then a new looped
+    vertex 1 is joined to the vertices that were looped.
+    """
+    looped = sorted(g.looped_vertices())
+    toggle = set(itertools.combinations_with_replacement(looped, 2))
+    new_edges = {(1, 1)} | {(1, v) for v in looped}
+    return PseudoGraph((1,) + g.labels, (g.edges ^ toggle) | new_edges)
 
 
 def naive_greedy(g):
@@ -273,7 +300,8 @@ def reference_find_pressing_order(g, *, stop_at_tie=False):
         pivots.append(rows[best])
         alive = _press(rows, best, alive)
     if alive:
-        raise UnpressableError(None, (labels, rows, rows[alive[0]]))
+        comp = iter_support(_reach(rows, rows[alive[0]]))
+        raise UnpressableError(tuple(labels[j - 1] for j in comp))
     return PressingOrder(tuple(order), True, first_tie, tuple(pivots))
 
 
@@ -337,7 +365,8 @@ def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
     n = 0 the empty graph stands alone.
 
     A copy of the edge-set enumeration that the ternary code replaced,
-    kept as an oracle for generate_cup's graphs and their order.
+    kept as an oracle for generate_cup's graphs and their order.  It
+    runs the edge-set maps above, not the library's row maps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -347,9 +376,11 @@ def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
     for _ in range(n - 1):
         seen: dict[tuple[int, ...], PseudoGraph] = {}
         for g in current:
+            labels = [v + 1 for v in g.labels]
+            shifted = PseudoGraph(labels, {(u + 1, v + 1) for u, v in g.edges})
             for h in (
-                extend_right(g, check=False),
-                extend_left(shift_labels(g), check=False),
+                reference_extend_right(g),
+                reference_extend_left(shifted),
             ):
                 seen[h.rows] = h
         current = list(seen.values())

@@ -1,6 +1,7 @@
 """Unit tests for root construction and the greedy order finder."""
 
 import itertools
+import pickle
 import random
 
 import pytest
@@ -159,6 +160,13 @@ def test_greedy_unpressable_reports_component():
     with pytest.raises(UnpressableError) as exc:
         find_pressing_order(g)
     assert exc.value.component == (3, 4)
+
+
+def test_unpressable_error_survives_a_pickle_round_trip():
+    err = UnpressableError((3, 4))
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.component, str(back)) == ((3, 4), str(err))
+    assert str(err) == "pressing stalled: loopless component (3, 4) remains"
 
 
 def test_greedy_outcome_exhaustive():

@@ -5,6 +5,7 @@ failure, 2 for parse or usage errors.
 """
 
 import argparse
+import hashlib
 import multiprocessing
 import os
 import subprocess
@@ -484,6 +485,18 @@ def test_generate_bytes_match_the_reference(n):
     code, out, err = run_cli(["generate", str(n)])
     expected = "\n".join(g.to_text() for g in reference_generate_cup(n))
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.slow
+def test_generate_22_bytes_are_pinned():
+    """generate at the bound prints the same 3^10 graphs, byte for byte,
+    as the edge-set closure did: about 11.7 MB of text."""
+    code, out, err = run_cli(["generate", "22"])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (
+        "f8daea9b0e6a63096def801599511fe964aa39250a0391230bfbe1cbe9e9cbf7"
+    )
 
 
 def test_generate_writes_each_graph_as_it_is_built(monkeypatch):

@@ -6,8 +6,14 @@ import multiprocessing
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import reference_generate_cup
+from conftest import (
+    reference_extend_left,
+    reference_extend_right,
+    reference_generate_cup,
+)
 from pressgraph import generate
 from pressgraph import (
     CensusResult,
@@ -84,10 +90,32 @@ def test_extend_rejects_non_unique_inputs(cup2):
     assert out.labels == (1, 2, 3)
 
 
+@st.composite
+def _arbitrary_graphs(draw):
+    """Any graph on labels 1..n, n <= 10: loops, isolated vertices and
+    disconnected parts included."""
+    n = draw(st.integers(0, 10))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return PseudoGraph(range(1, n + 1), edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_arbitrary_graphs())
+def test_extensions_match_the_edge_set_maps_on_any_graph(g):
+    """Unchecked, the row maps are the edge-set maps on every graph,
+    not only on cups."""
+    assert extend_right(g, check=False) == reference_extend_right(g)
+    shifted = shift_labels(g)
+    assert extend_left(shifted, check=False) == reference_extend_left(shifted)
+
+
 def test_shift_labels(cup2):
     assert shift_labels(cup2).edges == frozenset({(2, 2), (2, 3)})
     assert shift_labels(cup2, offset=10).labels == (11, 12)
     assert shift_labels(shift_labels(cup2), offset=-1) == cup2
+    with pytest.raises(ValueError, match="positive integers"):
+        shift_labels(cup2, offset=-1)
 
 
 # ------------------------------------------------------------ enumeration

@@ -492,10 +492,26 @@ def test_column_weights_match_a_per_column_count():
         assert rep.column_weights == want
 
 
+def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
+    """On every graph with n <= 5, a stop-at-tie greedy that ends with
+    no tie and no stall has pressed every vertex with a nonzero row, so
+    _recognize's branch that appends an unpressed core never runs.
+    There is no proof for larger n, so the branch stays."""
+    completions = 0
+    for n in range(6):
+        for g in all_pseudographs(n):
+            order, _, first_tie, _, alive = cholesky._greedy(g.rows, True)
+            if first_tie is None and not alive:
+                completions += 1
+                nonzero = {i for i, r in enumerate(g.rows) if r}
+                assert set(order) == nonzero, g
+    assert completions == 3241
+
+
 def test_recognize_stays_on_the_rows(monkeypatch):
     """recognize builds no Component list and no induced copy, on any
     path, and UNPRESSABLE rejects never build the stalled component;
-    UnpressableError still finds it when asked."""
+    find_pressing_order's UnpressableError finds it without either."""
     graphs = list(all_pseudographs(4))
     graphs.append(PseudoGraph((1, 2, 3, 4, 5), {(2, 3), (3, 5)}))
     want = [reference_recognize(g) for g in graphs]
