@@ -46,6 +46,10 @@ class NotOrderPressableError(ValueError):
             f"not pressable in vertex order: stuck at index {stuck_index}"
         )
 
+    def __reduce__(self):
+        # args holds the message; rebuild from the index instead.
+        return type(self), (self.stuck_index,)
+
 
 class UnpressableError(ValueError):
     """Pressing ran out of looped vertices while edges remain.

@@ -28,7 +28,7 @@ from operator import or_
 
 from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
-from .recognition import OracleBoundError, RecognitionReport, _recognize
+from .recognition import OracleBoundError, _decide
 
 __all__ = [
     "NotUniquelyPressableError",
@@ -53,8 +53,8 @@ class NotUniquelyPressableError(ValueError):
 
 def _is_cup_form(rows: Sequence[int]) -> bool:
     """True when rows on labels 1..n are pressed uniquely in that order."""
-    labels = tuple(range(1, len(rows) + 1))
-    return bool(rows) and _recognize(labels, rows).sequence == labels
+    reason, _, order = _decide(rows)
+    return bool(rows) and reason is None and order == list(range(len(rows)))
 
 
 def _looped(rows: Sequence[int]) -> int:
@@ -321,44 +321,39 @@ class CensusResult(_Record):
 
 
 def _press_order_key(
-    labels: tuple[int, ...], rows: tuple[int, ...], report: RecognitionReport
+    rows: Sequence[int], order: Sequence[int]
 ) -> tuple[int, tuple[int, ...]]:
     """Isomorphism class key of a yes graph, without relabeling search.
 
     The key is the padding count and the core's rows with every vertex
-    renamed to its position in the unique press order.  An isomorphism
-    carries the one press order onto the other, and a cup graph has no
-    nontrivial automorphism, so two yes graphs share the key exactly
-    when they are isomorphic.
+    renamed to its position in ``order``, the unique press order as row
+    indices.  An isomorphism carries the one press order onto the other,
+    and a cup graph has no nontrivial automorphism, so two yes graphs
+    share the key exactly when they are isomorphic.
     """
-    seq = report.sequence
-    assert seq is not None
-    pos = {lab: t for t, lab in enumerate(seq)}
-    row = dict(zip(labels, rows))
+    pos = {i: t for t, i in enumerate(order)}
     core = tuple(
-        sum(1 << pos[labels[j - 1]] for j in iter_support(row[lab]))
-        for lab in seq
+        sum(1 << pos[j - 1] for j in iter_support(rows[i])) for i in order
     )
-    return len(report.stripped), core
+    return rows.count(0), core
 
 
 def _census_range(args: tuple[int, int, int]) -> tuple[int, dict]:
-    """Recognize every pair-mask in [lo, hi) on its bare rows.
+    """Decide every pair-mask in [lo, hi) on its bare rows.
 
     Returns the yes count and, per class key, its connected flag.
     """
-    labels = tuple(range(1, args[0] + 1))
     count = 0
     classes: dict[tuple, bool] = {}
     for rows in _mask_rows(*args):
-        report = _recognize(labels, rows)
-        if not report.verdict:
+        reason, _, order = _decide(rows)
+        if reason is not None:
             continue
         count += 1
-        key = _press_order_key(labels, rows, report)
+        key = _press_order_key(rows, order)
         if key not in classes:
             # Connected with an edge: no padding and a nonempty core.
-            classes[key] = not report.stripped and bool(report.sequence)
+            classes[key] = not key[0] and bool(order)
     return count, classes
 
 

@@ -57,6 +57,10 @@ class InvalidPressError(ValueError):
             msg = f"press {position} invalid: vertex {vertex} is not looped"
         super().__init__(msg)
 
+    def __reduce__(self):
+        # args holds the message; rebuild from the fields instead.
+        return type(self), (self.vertex, self.position)
+
 
 class Component(_Record):
     """A connected component; trivial means one loopless isolated vertex."""

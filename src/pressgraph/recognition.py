@@ -205,47 +205,43 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     against the four column properties in press order (PROPk); the
     matrix is eliminated only once.
     """
-    return _recognize(g.labels, g.rows)
+    labels, rows = g.labels, g.rows
+    reason, column, order = _decide(rows)
+    seq = tuple(labels[i] for i in order) if reason is None else None
+    return RecognitionReport(
+        reason is None, seq, reason, column,
+        tuple(compress(labels, map(not_, rows))),
+    )
 
 
-def _recognize(
-    labels: Sequence[int], rows: Sequence[int]
-) -> RecognitionReport:
-    """recognize on bare labels and symmetric rows, as census calls it.
+def _decide(rows: Sequence[int]) -> tuple[str | None, int | None, list[int]]:
+    """recognize's verdict core, on bare symmetric rows and no labels.
 
-    No graph, PressingOrder or label index is built: the greedy core
-    works on indices, and only the report carries labels.
+    Returns ``(reason, column, order)``: the reason code, None on yes;
+    the witness column of a PROPk reason, else None; and the row
+    indices the greedy pressed, in press order, which on yes is the
+    unique pressing sequence.  Only recognize builds a report.
     """
-    stripped = tuple(compress(labels, map(not_, rows)))
     first = next(filter(None, rows), 0)
     if not first:
-        return RecognitionReport(True, sequence=(), stripped=stripped)
+        return None, None, []
     # Reached vertices have nonzero rows: connected iff the counts agree.
-    if _reach(rows, first).bit_count() != len(rows) - len(stripped):
-        return RecognitionReport(
-            False, reason=REASON_MULTI_COMPONENT, stripped=stripped
-        )
+    if _reach(rows, first).bit_count() != len(rows) - rows.count(0):
+        return REASON_MULTI_COMPONENT, None, []
     order, pivots, first_tie, _, alive = _greedy(rows, True)
     if first_tie is not None:
-        return RecognitionReport(False, reason=REASON_TIE, stripped=stripped)
+        return REASON_TIE, None, order
     if alive:
-        return RecognitionReport(
-            False, reason=REASON_UNPRESSABLE, stripped=stripped
-        )
-    pressed = len(order)
+        return REASON_UNPRESSABLE, None, order
     # Unproven dead code: a test pins that no unpressed nonzero row is
     # left here on any graph with n <= 5, but there is no proof.
     seen = set(order)
-    order += [i for i, r in enumerate(rows) if r and i not in seen]
-    report = _check_columns(pivots + [0] * (len(order) - pressed), order)
+    rest = [i for i, r in enumerate(rows) if r and i not in seen]
+    report = _check_columns(pivots + [0] * len(rest), order + rest)
     failure = report.first_failure()
     if failure is None:
-        seq = tuple(labels[i] for i in order[:pressed])
-        return RecognitionReport(True, sequence=seq, stripped=stripped)
-    num, col = failure
-    return RecognitionReport(
-        False, reason=f"PROP{num}", column=col, stripped=stripped
-    )
+        return None, None, order
+    return f"PROP{failure[0]}", failure[1], order
 
 
 def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:

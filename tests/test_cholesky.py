@@ -1,5 +1,6 @@
 """Unit tests for root construction and the greedy order finder."""
 
+import copy
 import itertools
 import pickle
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from pressgraph import (
     BitMatrix,
+    InvalidPressError,
     NotOrderPressableError,
     PressingOrder,
     PseudoGraph,
@@ -167,6 +169,24 @@ def test_unpressable_error_survives_a_pickle_round_trip():
     back = pickle.loads(pickle.dumps(err))
     assert (back.component, str(back)) == ((3, 4), str(err))
     assert str(err) == "pressing stalled: loopless component (3, 4) remains"
+
+
+@pytest.mark.parametrize(
+    "err, fields",
+    [
+        (NotOrderPressableError(3), {"stuck_index": 3}),
+        (InvalidPressError(4, 2), {"vertex": 4, "position": 2}),
+        (InvalidPressError(4), {"vertex": 4, "position": None}),
+        (UnpressableError((3, 4)), {"component": (3, 4)}),
+    ],
+)
+def test_errors_survive_pickle_and_copy(err, fields):
+    """A round trip rebuilds each error from its fields, so the message
+    is not doubled and no field is lost."""
+    for back in (pickle.loads(pickle.dumps(err)), copy.copy(err)):
+        assert type(back) is type(err)
+        assert vars(back) == fields
+        assert str(back) == str(err)
 
 
 def test_greedy_outcome_exhaustive():

@@ -20,6 +20,7 @@ from pressgraph import (
     NotUniquelyPressableError,
     OracleBoundError,
     PseudoGraph,
+    RecognitionReport,
     all_pseudographs,
     canonical_form,
     census,
@@ -249,7 +250,8 @@ def test_press_order_key_agrees_with_canonical_form():
             report = recognize(g)
             if not report.verdict:
                 continue
-            key = generate._press_order_key(g.labels, g.rows, report)
+            order = [g.labels.index(v) for v in report.sequence]
+            key = generate._press_order_key(g.rows, order)
             form = canonical_form(g)
             assert key_to_form.setdefault(key, form) == form
             assert form_to_key.setdefault(form, key) == key
@@ -304,6 +306,21 @@ def test_census_builds_at_most_one_graph_per_yes_graph(monkeypatch):
     result = census(4)
     assert result.labeled_total == 137
     assert len(built) <= result.labeled_total
+
+
+def test_census_builds_no_report(monkeypatch):
+    """census decides each mask on the bare-row core: no mask, yes or
+    no, builds a RecognitionReport."""
+    built = []
+    init = RecognitionReport.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RecognitionReport, "__init__", counted_init)
+    assert census(4).labeled_total == 137
+    assert built == []
 
 
 def test_canonical_form_is_isomorphism_invariant():

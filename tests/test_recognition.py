@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from pressgraph import cholesky
+from pressgraph import cholesky, recognition
 from pressgraph import (
     BitMatrix,
     OracleBoundError,
@@ -436,6 +436,33 @@ def test_recognize_equals_second_elimination_exhaustively():
     }
 
 
+def test_decide_equals_second_elimination():
+    """The census core on bare rows, its order mapped to labels, against
+    the second elimination: every graph with n <= 4 and every fifth one
+    with n = 5."""
+    graphs = itertools.chain(
+        *(all_pseudographs(n) for n in range(0, 5)),
+        itertools.islice(all_pseudographs(5), 0, None, 5),
+    )
+    reasons = set()
+    for g in graphs:
+        reason, column, order = recognition._decide(g.rows)
+        seq = tuple(g.labels[i] for i in order) if reason is None else None
+        want = reference_recognize(g)
+        got = (reason is None, seq, reason, column)
+        assert got == (want.verdict, want.sequence, want.reason, want.column)
+        reasons.add(reason)
+    assert reasons == {
+        None,
+        REASON_MULTI_COMPONENT,
+        REASON_UNPRESSABLE,
+        REASON_TIE,
+        "PROP1",
+        "PROP2",
+        "PROP4",
+    }
+
+
 def test_recognize_equals_second_elimination_on_random_graphs():
     rng = random.Random(2024)
     reasons = set()
@@ -495,7 +522,7 @@ def test_column_weights_match_a_per_column_count():
 def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
     """On every graph with n <= 5, a stop-at-tie greedy that ends with
     no tie and no stall has pressed every vertex with a nonzero row, so
-    _recognize's branch that appends an unpressed core never runs.
+    _decide's branch that appends an unpressed core never runs.
     There is no proof for larger n, so the branch stays."""
     completions = 0
     for n in range(6):
