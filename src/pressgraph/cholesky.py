@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .gf2 import BitMatrix, _press, _Record, iter_support
+from .gf2 import BitMatrix, _eliminate, _press, _Record, iter_support
 from .graphs import PseudoGraph, _reach
 
 __all__ = [
@@ -139,21 +139,11 @@ def instructional_root(
 
 
 def _root_rows(rows: list[int]) -> list[int]:
-    """instructional_root's elimination on symmetric rows, unchecked.
-
-    Eliminates ``rows`` in place and returns the root's rows.
-    """
-    n = len(rows)
-    root = [0] * n
-    k = 0
-    while k < n and (rows[k] >> k) & 1:
-        root[k] = rows[k]
-        _press(rows, k, range(k, n))
-        k += 1
-    for i in range(k, n):
-        if rows[i]:
-            raise NotOrderPressableError(stuck_index=k + 1)
-    return root
+    """instructional_root's rows, eliminating symmetric ``rows`` in place."""
+    root = _eliminate(rows, range(len(rows)))
+    if any(rows[len(root) :]):
+        raise NotOrderPressableError(stuck_index=len(root) + 1)
+    return root + [0] * (len(rows) - len(root))
 
 
 def find_pressing_order(

@@ -25,7 +25,7 @@ from .generate import (
     cup_count,
     total_count,
 )
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, _echo
 from .graphs import (
     InvalidPressError,
     PseudoGraph,
@@ -105,7 +105,7 @@ def _sequence_arg(raw: str) -> tuple[int, ...]:
         return tuple(int(t) for t in tokens)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"sequence must be integer labels, got {raw!r}"
+            f"sequence must be integer labels, got {_echo(raw)}"
         ) from None
 
 

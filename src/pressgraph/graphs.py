@@ -14,8 +14,9 @@ contiguous.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import takewhile
 
-from .gf2 import BitMatrix, _press, _Record, iter_support
+from .gf2 import BitMatrix, _echo, _eliminate, _Record, iter_support
 
 __all__ = [
     "Edge",
@@ -158,11 +159,9 @@ class PseudoGraph(_Record):
         Raises InvalidPressError when v carries no loop.  The pressed
         vertex ends isolated and loopless.
         """
-        i = self._index(v)
         rows = list(self.rows)
-        if not rows[i] >> i & 1:
+        if not _eliminate(rows, [self._index(v)]):
             raise InvalidPressError(v)
-        _press(rows, i, range(len(rows)))
         return PseudoGraph._from_rows(self.labels, rows)
 
     def apply_sequence(self, seq: Sequence[int]) -> "PseudoGraph":
@@ -171,7 +170,7 @@ class PseudoGraph(_Record):
         The first invalid press aborts with an InvalidPressError whose
         ``position`` is its 1-based index in the sequence.
         """
-        return self._replay(seq)[-1]
+        return self._replay(tuple(seq))[-1]
 
     def is_successful(self, seq: Sequence[int]) -> bool:
         """True when every press is valid and the final graph is edgeless."""
@@ -186,24 +185,26 @@ class PseudoGraph(_Record):
     ) -> list["PseudoGraph"]:
         """apply_sequence on one copy of the rows, pressed in place.
 
-        Each press XORs only the rows still nonzero.  Returns the final
-        graph, preceded with ``trace`` by the input and every state
-        between.
+        The labels up to the first unknown one are pressed by one
+        ``_eliminate`` call, or with ``trace`` by one call per press.
+        Returns the final graph, preceded with ``trace`` by the input
+        and every state between.
         """
-        labels = self.labels
-        index = {lab: i for i, lab in enumerate(labels)}
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        order = [index[v] for v in takewhile(index.__contains__, seq)]
         rows = list(self.rows)
-        live = [i for i, r in enumerate(rows) if r]
-        states = [self] if trace else []
-        for pos, v in enumerate(seq, start=1):
-            i = index.get(v)
-            if i is None or not rows[i] >> i & 1:
-                raise InvalidPressError(v, position=pos)
-            live = _press(rows, i, live)
-            if trace:
-                states.append(PseudoGraph._from_rows(labels, rows))
-        if not trace:
-            states.append(PseudoGraph._from_rows(labels, rows))
+        if trace:
+            states = [self]
+            for i in order:
+                if not _eliminate(rows, [i]):
+                    break
+                states.append(PseudoGraph._from_rows(self.labels, rows))
+            done = len(states) - 1
+        else:
+            done = len(_eliminate(rows, order))
+            states = [PseudoGraph._from_rows(self.labels, rows)]
+        if done < len(seq):
+            raise InvalidPressError(seq[done], position=done + 1)
         return states
 
     def components(self) -> list[Component]:
@@ -310,7 +311,7 @@ def _parse_count(lines: list[str]) -> int:
         n = int(lines[0].strip())
     except ValueError:
         raise GraphFormatError(
-            f"line 1: expected an integer count, got {lines[0]!r}"
+            f"line 1: expected an integer count, got {_echo(lines[0])}"
         ) from None
     if n < 0:
         raise GraphFormatError(f"line 1: negative vertex count {n}")
@@ -357,7 +358,7 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
             if parts:
                 raise GraphFormatError(
                     f"line {idx + 1}: expected an edge as 'u v', "
-                    f"got {lines[idx].strip()!r}"
+                    f"got {_echo(lines[idx].strip())}"
                 )
             stop = idx
             break

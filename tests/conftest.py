@@ -196,6 +196,14 @@ def dense_det2(rows):
     return 1
 
 
+def quoted(text):
+    """An input as error messages quote it: whole up to 80 characters,
+    else its first 80 characters, an ellipsis and its length."""
+    if len(text) <= 80:
+        return repr(text)
+    return f"{text[:80]!r}... ({len(text)} characters)"
+
+
 def reference_parse_graph(text):
     """The graph text format, parsed through a set of edge tuples.
 
@@ -210,7 +218,7 @@ def reference_parse_graph(text):
         n = int(lines[0].strip())
     except ValueError:
         raise GraphFormatError(
-            f"line 1: expected an integer count, got {lines[0]!r}"
+            f"line 1: expected an integer count, got {quoted(lines[0])}"
         ) from None
     if n < 0:
         raise GraphFormatError(f"line 1: negative vertex count {n}")
@@ -239,7 +247,8 @@ def reference_parse_graph(text):
         parts = raw.split()
         if len(parts) != 2:
             raise GraphFormatError(
-                f"line {idx + 1}: expected an edge as 'u v', got {raw!r}"
+                f"line {idx + 1}: expected an edge as 'u v', "
+                f"got {quoted(raw)}"
             )
         try:
             u, v = int(parts[0]), int(parts[1])
@@ -319,7 +328,7 @@ def reference_matrix_from_text(text):
         n = int(lines[0].strip())
     except ValueError:
         raise MatrixFormatError(
-            f"line 1: expected an integer size, got {lines[0]!r}"
+            f"line 1: expected an integer size, got {quoted(lines[0])}"
         ) from None
     if n < 0:
         raise MatrixFormatError(f"line 1: negative size {n}")

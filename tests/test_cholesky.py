@@ -78,6 +78,27 @@ def test_root_order_validation(example5):
     assert labeled.order == (10, 20, 30, 40, 50)
 
 
+@pytest.mark.parametrize("stuck", [8, 9, 17])
+def test_root_stuck_across_block_edges(stuck):
+    """A root U with one zero diagonal, at ``stuck``: U^T U presses in
+    index order through ``stuck - 1``, then row ``stuck`` is zero while
+    later rows are not.  With that diagonal set, the root is U again;
+    with the rows from ``stuck`` on cleared, it is U cut there and
+    padded with zero rows."""
+    rng = random.Random(stuck)
+    n = stuck + 4
+    u = [rng.getrandbits(n - i) << i | 1 << i for i in range(n)]
+    u[stuck - 1] &= ~(1 << (stuck - 1))
+    with pytest.raises(NotOrderPressableError) as exc:
+        instructional_root(transpose_mul(BitMatrix(n, u)))
+    assert exc.value.stuck_index == stuck
+    u[stuck - 1] |= 1 << (stuck - 1)
+    full = BitMatrix(n, u)
+    assert instructional_root(transpose_mul(full)).matrix == full
+    cut = BitMatrix(n, u[: stuck - 1] + [0] * (n - stuck + 1))
+    assert instructional_root(transpose_mul(cut)).matrix == cut
+
+
 def test_root_detects_unpressable_order():
     # loop only on vertex 2: order (1, 2) starts on a zero diagonal
     a = PseudoGraph((1, 2), frozenset({(2, 2), (1, 2)})).adjacency_matrix()

@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgraph
-from conftest import naive_press, reference_generate_cup, run_cli
+from conftest import naive_press, quoted, reference_generate_cup, run_cli
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -30,8 +31,10 @@ from pressgraph import (
     cup_from_choices,
     generate,
     instructional_root,
+    iter_support,
     parse_auto,
     total_count,
+    transpose_mul,
 )
 from pressgraph.cli import (
     CENSUS_MAX_N,
@@ -49,6 +52,7 @@ TIE_THEN_STALL = str(DATA / "tie_then_stall.graph")
 PENDANT = str(DATA / "pendant_loop.graph")
 LOOP_PATH4 = str(DATA / "loop_path4.graph")
 REVERSED = str(DATA / "reversed_pair.graph")
+CUP12 = str(DATA / "cup12.graph")
 
 
 # -------------------------------------------------------------- recognize
@@ -216,6 +220,48 @@ def test_press_unknown_vertex_is_a_dynamics_failure():
     assert "vertex 9" in err
 
 
+def test_press_cup12_crosses_a_block():
+    """The 12-vertex fixture is cup_from_choices("RRLRLRRLRLR"), whose
+    unique sequence 1..12 presses it empty across the edge between two
+    blocks of 8; a press of loopless vertex 10 at position 9 exits 1
+    with nothing on standard output."""
+    g = cup_from_choices("RRLRLRRLRLR")
+    assert Path(CUP12).read_text() == g.to_text()
+    assert pressgraph.recognize(g).sequence == tuple(range(1, 13))
+    edgeless = "12\n1 2 3 4 5 6 7 8 9 10 11 12\n"
+    good = ",".join(map(str, range(1, 13)))
+    assert run_cli(["press", "--sequence", good, CUP12]) == (0, edgeless, "")
+    bad = "1,2,3,4,5,6,7,8,10"
+    assert run_cli(["press", "--sequence", bad, CUP12]) == (
+        1, "", "error: press 9 invalid: vertex 10 is not looped\n"
+    )
+
+
+@pytest.mark.parametrize("length", [2, 80, 81, 100_000])
+@pytest.mark.parametrize("site", ["sequence", "count", "edge", "size"])
+def test_error_messages_cap_the_echoed_input(site, length):
+    """The four messages that quote the input (a bad --sequence, a bad
+    graph count on line 1, a bad edge line, a bad matrix size on line
+    1) quote at most 80 characters of it, then an ellipsis and its
+    length; input up to 80 characters is quoted whole, as it always
+    was.  The exit code stays 2."""
+    bad = ("x1" * length)[:length]
+    argv, stdin = ["recognize", "-"], None
+    if site == "sequence":
+        argv, head = ["press", "--sequence", bad, CUP2], "integer labels"
+    elif site == "count":
+        stdin, head = bad + "\n1 2\n", "line 1: expected an integer count"
+    elif site == "edge":
+        stdin, head = f"2\n1 2\n{bad}\n", "line 3: expected an edge as 'u v'"
+    else:
+        argv += ["--format", "matrix"]
+        stdin, head = bad + "\n11\n11\n", "line 1: expected an integer size"
+    code, out, err = run_cli(argv, stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"{head}, got {quoted(bad)}\n")
+    assert len(err) < 500
+
+
 def test_press_malformed_sequence_is_usage_error():
     code, _, err = run_cli(["press", "--sequence", "1,x", PENDANT])
     assert code == 2
@@ -319,13 +365,44 @@ def _replays(draw):
     return g, tuple(seq)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=_replays())
-def test_replay_matches_naive_presses(case):
-    """apply_sequence, is_successful and press, with and without
-    --trace, agree with a replay on edge sets: every state, and the
-    position and message of the first invalid press."""
-    g, seq = case
+@st.composite
+def _long_replays(draw):
+    """A graph on 9 to 24 labels from 1..40 and a sequence on it that
+    makes a run of at least 9 valid presses, so its replay fills a
+    block of 8 and goes on into the next, then up to two presses of any
+    kind, as _replays draws them.
+
+    The graph is U^T U, for a random unit upper-triangular U, on the
+    labels in a random order; pressing in that order empties it, and
+    the run is a prefix of it.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(9, 24))
+    order = rng.sample(range(1, 41), n)
+    u = [rng.getrandbits(n - i) << i | 1 << i for i in range(n)]
+    gram = transpose_mul(BitMatrix(n, u)).row_bits
+    edges = {
+        tuple(sorted((order[i], order[j - 1])))
+        for i in range(n)
+        for j in iter_support(gram[i])
+    }
+    g = h = PseudoGraph(sorted(order), edges)
+    seq = order[: draw(st.integers(9, n))]
+    for v in seq:
+        h = naive_press(h, v)
+    outside = [0, -3, 41]
+    for _ in range(draw(st.integers(0, 2))):
+        looped = sorted(h.looped_vertices()) if h else []
+        loopless = [v for v in g.labels if v not in looped]
+        pool = draw(st.sampled_from((looped, loopless, outside, seq)))
+        v = draw(st.sampled_from(pool or outside))
+        seq.append(v)
+        if h is not None:
+            h = naive_press(h, v) if v in looped else None
+    return g, tuple(seq)
+
+
+def _assert_replay_matches_naive_presses(g, seq):
     states, error = naive_replay(g, seq)
     argv = ["press", "--sequence=" + ",".join(map(str, seq)), "-"]
     if error is None:
@@ -347,6 +424,24 @@ def test_replay_matches_naive_presses(case):
     for trace in (False, True):
         got = run_cli(argv + ["--trace"] * trace, stdin=g.to_text())
         assert got == (1, "", f"error: {message}\n")
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_replays())
+def test_replay_matches_naive_presses(case):
+    """apply_sequence, is_successful and press, with and without
+    --trace, agree with a replay on edge sets: every state, and the
+    position and message of the first invalid press."""
+    _assert_replay_matches_naive_presses(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_long_replays())
+def test_long_replay_matches_naive_presses(case):
+    """As test_replay_matches_naive_presses, on graphs of 9 to 24
+    vertices with at least 9 valid presses before any invalid one, so
+    replay presses across the edge between blocks of 8."""
+    _assert_replay_matches_naive_presses(*case)
 
 
 def test_press_writes_dot(tmp_path):

@@ -27,6 +27,7 @@ from pressgraph import (
     RecognitionReport,
     transpose_mul,
 )
+from pressgraph.gf2 import _eliminate, _press
 from conftest import (
     dense_det2,
     reference_matrix_from_text,
@@ -199,6 +200,7 @@ def _matrix_texts():
         lambda r: "",
     )
     yield from ("", "x\n", "-1\n", "0", "0\n\n", "0\n1\n", "1\n", "1\n1")
+    yield "x1" * 50 + "\n"  # quoted only up to 80 characters
     for n in (0, 1, 2, 3, 8, 70):
         for _ in range(6):
             rows = [
@@ -307,6 +309,67 @@ def test_all_ones_minors_iff_natural_order_presses(n, rng):
     except ValueError:
         full = False
     assert (minors == (1,) * n) == full
+
+
+@st.composite
+def _eliminations(draw):
+    """Symmetric rows on n <= 40 and an order up to 40 long whose first
+    stop falls at entry 1, 8, 9, 16 or 17 (either side of a block edge)
+    or nowhere.
+
+    The top-left m x m block of the rows is U^T U for a random unit
+    upper-triangular U, which presses in index order whatever the other
+    rows hold, so the first ``stop - 1`` entries are valid.  The entry
+    at ``stop`` is loopless at its turn (a pressed index repeats, or a
+    loopless one comes); any indices follow it.  Every index is then
+    relabeled at random.
+    """
+    stop = draw(st.sampled_from((1, 8, 9, 16, 17, None)))
+    n = draw(st.integers(stop or 0, 40))
+    m = draw(st.integers(0, n)) if stop is None else stop - 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    u = [rng.getrandbits(m - i) << i | 1 << i for i in range(m)]
+    gram = transpose_mul(BitMatrix(m, u)).row_bits
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if (gram[i] >> j & 1) if j < m else rng.random() < 0.4:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    order = list(range(m))
+    if stop is not None:
+        state = list(rows)
+        for p in order:
+            _press(state, p, range(n))
+        loopless = [i for i in range(n) if not state[i] >> i & 1]
+        if not loopless:  # stop == 1 and every vertex looped
+            loopless = [rng.randrange(n)]
+            rows[loopless[0]] ^= 1 << loopless[0]
+        order.append(rng.choice(loopless))
+        order += [rng.randrange(n) for _ in range(rng.randint(0, 40 - stop))]
+    perm = rng.sample(range(n), n)
+    moved = [0] * n
+    for i, r in enumerate(rows):
+        moved[perm[i]] = sum(1 << perm[j - 1] for j in iter_support(r))
+    return moved, [perm[p] for p in order], stop
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_eliminations())
+def test_eliminate_equals_one_press_at_a_time(case):
+    """_eliminate, 8 pivots to a table lookup, gives the pivot rows, the
+    stop and the final rows of _press applied one pivot at a time."""
+    rows, order, stop = case
+    want_rows, want = list(rows), []
+    for p in order:
+        if not want_rows[p] >> p & 1:
+            break
+        want.append(want_rows[p])
+        _press(want_rows, p, range(len(rows)))
+    got_rows = list(rows)
+    got = _eliminate(got_rows, order)
+    assert (got, got_rows) == (want, want_rows)
+    assert len(got) == (len(order) if stop is None else stop - 1)
 
 
 def test_principal_submatrix(example5):

@@ -159,6 +159,12 @@ def test_apply_sequence_and_position_reporting(cup2):
         cup2.apply_sequence((9, 1))
     assert (exc.value.vertex, exc.value.position) == (9, 1)
     assert "press 1 invalid" in str(exc.value)
+    # Any iterable of labels is a sequence, a one-shot iterator too.
+    assert cup2.apply_sequence(iter([1, 2])).edges == frozenset()
+    assert cup2.is_successful(v for v in (1, 2))
+    with pytest.raises(InvalidPressError) as exc:
+        cup2.apply_sequence(iter([1, 9]))
+    assert (exc.value.vertex, exc.value.position) == (9, 2)
 
 
 def test_is_successful(cup2):
@@ -395,6 +401,8 @@ def _outcome(parse, text):
 @example("2\n2 1\n1 5\n\nmore\n")
 @example("2\n1 2\n1 1\n\n2 2\n")
 @example("99999\n1 2\n1 2\n")
+@example("x1" * 60 + "\n1 2\n")
+@example("2\n1 2\n" + "7" * 81 + "\n")
 @settings(max_examples=600, deadline=None)
 @given(st.one_of(st.text(max_size=200), _graphish_texts(), _near_records()))
 def test_parser_matches_the_set_based_reference(text):
