@@ -100,9 +100,12 @@ def _write_dot(path: str, g: PseudoGraph) -> None:
 
 
 def _sequence_arg(raw: str) -> tuple[int, ...]:
-    tokens = raw.replace(",", " ").split()
+    fields = raw.split(",")
     try:
-        return tuple(int(t) for t in tokens)
+        # An empty field ("1,,3", ",1", "1,2,") is a missing label.
+        if len(fields) > 1 and not all(map(str.strip, fields)):
+            raise ValueError
+        return tuple(int(t) for t in raw.replace(",", " ").split())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"sequence must be integer labels, got {_echo(raw)}"

@@ -53,7 +53,7 @@ class NotUniquelyPressableError(ValueError):
 
 def _is_cup_form(rows: Sequence[int]) -> bool:
     """True when rows on labels 1..n are pressed uniquely in that order."""
-    reason, _, order = _decide(rows)
+    reason, _, order, _ = _decide(rows)
     return bool(rows) and reason is None and order == list(range(len(rows)))
 
 
@@ -320,41 +320,19 @@ class CensusResult(_Record):
         )
 
 
-def _press_order_key(
-    rows: Sequence[int], order: Sequence[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Isomorphism class key of a yes graph, without relabeling search.
-
-    The key is the padding count and the core's rows with every vertex
-    renamed to its position in ``order``, the unique press order as row
-    indices.  An isomorphism carries the one press order onto the other,
-    and a cup graph has no nontrivial automorphism, so two yes graphs
-    share the key exactly when they are isomorphic.
-    """
-    pos = {i: t for t, i in enumerate(order)}
-    core = tuple(
-        sum(1 << pos[j - 1] for j in iter_support(rows[i])) for i in order
-    )
-    return rows.count(0), core
-
-
-def _census_range(args: tuple[int, int, int]) -> tuple[int, dict]:
+def _census_range(args: tuple[int, int, int]) -> tuple[int, set]:
     """Decide every pair-mask in [lo, hi) on its bare rows.
 
-    Returns the yes count and, per class key, its connected flag.
+    Returns the yes count and the set of class keys, each yes graph's
+    root column weights w; the padding is n - len(w).  By property 1
+    the ones of column j are rows j - w_j + 1 .. j, so w fixes the root
+    U and with it A = U^T U in press order; and an isomorphism between
+    yes graphs carries one unique sequence onto the other, so two share
+    a key exactly when they are isomorphic.
     """
-    count = 0
-    classes: dict[tuple, bool] = {}
-    for rows in _mask_rows(*args):
-        reason, _, order = _decide(rows)
-        if reason is not None:
-            continue
-        count += 1
-        key = _press_order_key(rows, order)
-        if key not in classes:
-            # Connected with an edge: no padding and a nonempty core.
-            classes[key] = not key[0] and bool(order)
-    return count, classes
+    decided = map(_decide, _mask_rows(*args))
+    yes = [weights for reason, _, _, weights in decided if reason is None]
+    return len(yes), set(yes)
 
 
 def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
@@ -383,18 +361,16 @@ def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
         raise ValueError("jobs must be positive")
     chunks = _census_chunks(n, jobs)
     if len(chunks) == 1:
-        count, classes = _census_range(chunks[0])
+        parts = [_census_range(chunks[0])]
     else:
         # Imported here: it costs every command's start-up otherwise.
         import multiprocessing
 
-        count = 0
-        classes = {}
         with multiprocessing.Pool(len(chunks)) as pool:
-            for part_count, part_classes in pool.map(_census_range, chunks):
-                count += part_count
-                for key, conn in part_classes.items():
-                    classes.setdefault(key, conn)
-    cup_classes = sum(1 for conn in classes.values() if conn)
-    return CensusResult(n, count, len(classes), cup_classes)
-
+            parts = pool.map(_census_range, chunks)
+    classes = set().union(*(keys for _, keys in parts))
+    # A key of length n has no padding: a connected class with an edge.
+    cup_classes = sum(len(w) == n for w in classes)
+    return CensusResult(
+        n, sum(count for count, _ in parts), len(classes), cup_classes
+    )

@@ -49,18 +49,21 @@ class UnknownVertexError(ValueError):
 class InvalidPressError(ValueError):
     """Pressing a vertex that is not looped (or not present)."""
 
-    def __init__(self, vertex: int, position: int | None = None):
+    def __init__(
+        self, vertex: int, position: int | None = None, missing: bool = False
+    ):
         self.vertex = vertex
         self.position = position
-        if position is None:
-            msg = f"vertex {vertex} is not looped"
-        else:
-            msg = f"press {position} invalid: vertex {vertex} is not looped"
+        self.missing = missing
+        what = "in the graph" if missing else "looped"
+        msg = f"vertex {vertex} is not {what}"
+        if position is not None:
+            msg = f"press {position} invalid: {msg}"
         super().__init__(msg)
 
     def __reduce__(self):
         # args holds the message; rebuild from the fields instead.
-        return type(self), (self.vertex, self.position)
+        return type(self), (self.vertex, self.position, self.missing)
 
 
 class Component(_Record):
@@ -187,6 +190,8 @@ class PseudoGraph(_Record):
 
         The labels up to the first unknown one are pressed by one
         ``_eliminate`` call, or with ``trace`` by one call per press.
+        A press of a loopless or an unknown label raises
+        InvalidPressError, with ``missing`` set for an unknown one.
         Returns the final graph, preceded with ``trace`` by the input
         and every state between.
         """
@@ -204,7 +209,8 @@ class PseudoGraph(_Record):
             done = len(_eliminate(rows, order))
             states = [PseudoGraph._from_rows(self.labels, rows)]
         if done < len(seq):
-            raise InvalidPressError(seq[done], position=done + 1)
+            # Every known label was pressed: the next one is unknown.
+            raise InvalidPressError(seq[done], done + 1, done == len(order))
         return states
 
     def components(self) -> list[Component]:
@@ -345,12 +351,15 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
         labels = tuple(int(t) for t in label_tokens)
     except ValueError:
         raise GraphFormatError("line 2: labels must be integers") from None
+    if not all(a < b for a, b in zip((0,) + labels, labels)):
+        raise GraphFormatError(
+            "line 2: labels must be strictly increasing positive integers"
+        )
     # Row index of each label, keyed by the label and by its decimal
     # text, so an endpoint written as its label needs no int().
     index = {lab: i for i, lab in enumerate(labels)}
     index.update({str(lab): i for lab, i in index.items()})
     rows = [0] * n
-    leaves = False
     stop = len(lines)
     for idx in range(2, stop):
         parts = lines[idx].split()
@@ -375,8 +384,9 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
                     f"line {idx + 1}: edge endpoints must be integers"
                 ) from None
             if u not in index or v not in index:
-                leaves = True
-                continue
+                raise GraphFormatError(
+                    f"line {idx + 1}: edge ({u}, {v}) leaves the graph"
+                )
             iu, iv = index[u], index[v]
         rows[iu] |= 1 << iv
         rows[iv] |= 1 << iu
@@ -385,15 +395,7 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
             raise GraphFormatError(
                 f"line {idx + 1}: unexpected content after the record"
             )
-    if not leaves and all(a < b for a, b in zip((0,) + labels, labels)):
-        return PseudoGraph._from_rows(labels, rows)
-    # The constructor names the bad label order or, in frozenset order,
-    # the first edge that leaves the graph.
-    edges = {(int(u), int(v)) for u, v in map(str.split, lines[2:stop])}
-    try:
-        return PseudoGraph(labels, frozenset(edges))
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from None
+    return PseudoGraph._from_rows(labels, rows)
 
 
 def detect_format(text: str) -> str:

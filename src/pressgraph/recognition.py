@@ -206,7 +206,7 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     matrix is eliminated only once.
     """
     labels, rows = g.labels, g.rows
-    reason, column, order = _decide(rows)
+    reason, column, order, _ = _decide(rows)
     seq = tuple(labels[i] for i in order) if reason is None else None
     return RecognitionReport(
         reason is None, seq, reason, column,
@@ -214,25 +214,29 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     )
 
 
-def _decide(rows: Sequence[int]) -> tuple[str | None, int | None, list[int]]:
+def _decide(
+    rows: Sequence[int],
+) -> tuple[str | None, int | None, list[int], tuple[int, ...]]:
     """recognize's verdict core, on bare symmetric rows and no labels.
 
-    Returns ``(reason, column, order)``: the reason code, None on yes;
-    the witness column of a PROPk reason, else None; and the row
+    Returns ``(reason, column, order, weights)``: the reason code, None
+    on yes; the witness column of a PROPk reason, else None; the row
     indices the greedy pressed, in press order, which on yes is the
-    unique pressing sequence.  Only recognize builds a report.
+    unique pressing sequence; and on yes the root's column weights in
+    press order, one per nonzero row, else ().  Only recognize builds a
+    report.
     """
     first = next(filter(None, rows), 0)
     if not first:
-        return None, None, []
+        return None, None, [], ()
     # Reached vertices have nonzero rows: connected iff the counts agree.
     if _reach(rows, first).bit_count() != len(rows) - rows.count(0):
-        return REASON_MULTI_COMPONENT, None, []
+        return REASON_MULTI_COMPONENT, None, [], ()
     order, pivots, first_tie, _, alive = _greedy(rows, True)
     if first_tie is not None:
-        return REASON_TIE, None, order
+        return REASON_TIE, None, order, ()
     if alive:
-        return REASON_UNPRESSABLE, None, order
+        return REASON_UNPRESSABLE, None, order, ()
     # Unproven dead code: a test pins that no unpressed nonzero row is
     # left here on any graph with n <= 5, but there is no proof.
     seen = set(order)
@@ -240,8 +244,8 @@ def _decide(rows: Sequence[int]) -> tuple[str | None, int | None, list[int]]:
     report = _check_columns(pivots + [0] * len(rest), order + rest)
     failure = report.first_failure()
     if failure is None:
-        return None, None, order
-    return f"PROP{failure[0]}", failure[1], order
+        return None, None, order, report.column_weights
+    return f"PROP{failure[0]}", failure[1], order, ()
 
 
 def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:

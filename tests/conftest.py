@@ -20,7 +20,6 @@ from pressgraph import (
     MatrixFormatError,
     PressingOrder,
     PseudoGraph,
-    UnknownVertexError,
     UnpressableError,
     iter_support,
 )
@@ -209,7 +208,9 @@ def reference_parse_graph(text):
 
     A copy of the set-based parser that the one-pass packed-row parser
     replaced, kept as an oracle: every text must give an equal graph or
-    the same GraphFormatError message under both.
+    the same GraphFormatError message under both.  Label order is
+    checked on line 2, and an edge that leaves the graph is named on
+    its own line, before any later line is read.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -237,6 +238,11 @@ def reference_parse_graph(text):
         labels = tuple(int(t) for t in label_tokens)
     except ValueError:
         raise GraphFormatError("line 2: labels must be integers") from None
+    try:
+        PseudoGraph(labels, ())
+    except ValueError as exc:
+        raise GraphFormatError(f"line 2: {exc}") from None
+    known = set(labels)
     edges = set()
     stop = None
     for idx in range(2, len(lines)):
@@ -256,6 +262,10 @@ def reference_parse_graph(text):
             raise GraphFormatError(
                 f"line {idx + 1}: edge endpoints must be integers"
             ) from None
+        if u not in known or v not in known:
+            raise GraphFormatError(
+                f"line {idx + 1}: edge ({u}, {v}) leaves the graph"
+            )
         edges.add((u, v))
     if stop is not None:
         for idx in range(stop, len(lines)):
@@ -263,10 +273,7 @@ def reference_parse_graph(text):
                 raise GraphFormatError(
                     f"line {idx + 1}: unexpected content after the record"
                 )
-    try:
-        return PseudoGraph(labels, frozenset(edges))
-    except (ValueError, UnknownVertexError) as exc:
-        raise GraphFormatError(str(exc)) from None
+    return PseudoGraph(labels, frozenset(edges))
 
 
 def reference_find_pressing_order(g, *, stop_at_tie=False):

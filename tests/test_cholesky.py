@@ -196,9 +196,19 @@ def test_unpressable_error_survives_a_pickle_round_trip():
     "err, fields",
     [
         (NotOrderPressableError(3), {"stuck_index": 3}),
-        (InvalidPressError(4, 2), {"vertex": 4, "position": 2}),
-        (InvalidPressError(4), {"vertex": 4, "position": None}),
+        (
+            InvalidPressError(4, 2),
+            {"vertex": 4, "position": 2, "missing": False},
+        ),
+        (
+            InvalidPressError(4),
+            {"vertex": 4, "position": None, "missing": False},
+        ),
         (UnpressableError((3, 4)), {"component": (3, 4)}),
+        (
+            InvalidPressError(9, 1, missing=True),
+            {"vertex": 9, "position": 1, "missing": True},
+        ),
     ],
 )
 def test_errors_survive_pickle_and_copy(err, fields):

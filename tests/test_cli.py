@@ -198,6 +198,13 @@ def test_press_trace_lists_every_state():
 def test_press_comma_separated_sequence():
     code, out, _ = run_cli(["press", "--sequence", "1,2", CUP2])
     assert (code, out) == (0, "2\n1 2\n")
+    for spelled in ("1, 2", "1 2", " 1 ,2 "):
+        assert run_cli(["press", "--sequence", spelled, CUP2])[:2] == (
+            0, "2\n1 2\n"
+        )
+    assert run_cli(["press", "--sequence", "", CUP2])[:2] == (
+        0, "2\n1 2\n1 1\n1 2\n"
+    )
 
 
 def test_press_empty_sequence_echoes_canonically():
@@ -215,9 +222,9 @@ def test_press_invalid_press_exits_1_with_position():
 
 
 def test_press_unknown_vertex_is_a_dynamics_failure():
-    code, _, err = run_cli(["press", "--sequence", "9", PENDANT])
-    assert code == 1
-    assert "vertex 9" in err
+    code, out, err = run_cli(["press", "--sequence", "9", PENDANT])
+    assert (code, out) == (1, "")
+    assert err == "error: press 1 invalid: vertex 9 is not in the graph\n"
 
 
 def test_press_cup12_crosses_a_block():
@@ -266,6 +273,11 @@ def test_press_malformed_sequence_is_usage_error():
     code, _, err = run_cli(["press", "--sequence", "1,x", PENDANT])
     assert code == 2
     assert "sequence must be integer labels" in err
+    # An empty field is a missing label, not one to skip.
+    for raw in ("1,,3", ",1", "1,2,", ",", "1, ,3"):
+        code, out, err = run_cli(["press", "--sequence", raw, PENDANT])
+        assert (code, out) == (2, "")
+        assert "sequence must be integer labels" in err
 
 
 @pytest.mark.parametrize("trace", [False, True])
@@ -415,7 +427,8 @@ def _assert_replay_matches_naive_presses(g, seq):
             assert got == (0, "\n".join(s.to_text() for s in shown), "")
         return
     pos, v = error
-    message = f"press {pos} invalid: vertex {v} is not looped"
+    what = "looped" if v in g.labels else "in the graph"
+    message = f"press {pos} invalid: vertex {v} is not {what}"
     with pytest.raises(InvalidPressError) as exc:
         g.apply_sequence(seq)
     assert (exc.value.vertex, exc.value.position) == (v, pos)

@@ -14,8 +14,9 @@ from conftest import (
     reference_extend_right,
     reference_generate_cup,
 )
-from pressgraph import generate
+from pressgraph import generate, recognition
 from pressgraph import (
+    BitMatrix,
     CensusResult,
     NotUniquelyPressableError,
     OracleBoundError,
@@ -34,6 +35,7 @@ from pressgraph import (
     recognize,
     shift_labels,
     total_count,
+    transpose_mul,
 )
 
 K1_LOOP = PseudoGraph((1,), frozenset({(1, 1)}))
@@ -238,50 +240,57 @@ def test_all_pseudographs_tables_are_bounded():
     assert chunk == [_edge_built(12, m) for m in range(2**70 - 3, 2**70 + 3)]
 
 
-def test_press_order_key_agrees_with_canonical_form():
-    """Over every yes graph at n <= 5, the census key and canonical_form
-    induce the same classes, and the census flags exactly the classes
-    that are connected with an edge."""
+def _weight_class(n, weights):
+    """A graph of the class keyed by root column weights: U has ones in
+    rows j - w_j + 1 .. j of column j, the core is U^T U in press order,
+    and n - len(weights) zero rows pad it."""
+    k = len(weights)
+    u = [0] * k
+    for j, w in enumerate(weights):
+        for i in range(j - w + 1, j + 1):
+            u[i] |= 1 << j
+    core = transpose_mul(BitMatrix(k, u)).row_bits
+    return PseudoGraph._from_rows(
+        tuple(range(1, n + 1)), core + (0,) * (n - k)
+    )
+
+
+def test_weight_key_agrees_with_canonical_form():
+    """Over every yes graph at n <= 5, the root's column weights and
+    canonical_form induce the same classes: total_count(n) of them, of
+    which the weight tuples of length n number cup_count(n)."""
     for n in range(0, 6):
         key_to_form = {}
         form_to_key = {}
-        connected = {}
         for g in all_pseudographs(n):
-            report = recognize(g)
-            if not report.verdict:
+            reason, _, _, key = recognition._decide(g.rows)
+            if reason is not None:
                 continue
-            order = [g.labels.index(v) for v in report.sequence]
-            key = generate._press_order_key(g.rows, order)
             form = canonical_form(g)
             assert key_to_form.setdefault(key, form) == form
             assert form_to_key.setdefault(form, key) == key
-            connected[key] = len(g.components()) == 1 and any(g.rows)
         assert len(key_to_form) == total_count(n)
+        assert sum(len(key) == n for key in key_to_form) == cup_count(n)
         masks = 2 ** (n * (n + 1) // 2)
         _, classes = generate._census_range((n, 0, masks))
-        assert classes == connected
+        assert classes == set(key_to_form)
 
 
 def test_census_range_matches_a_public_recognize_sweep():
     """At n <= 4 the bare-row sweep counts the yes graphs of public
-    recognize, and flags the same classes, each named by canonical_form,
-    as connected with an edge."""
+    recognize, and each of its weight keys rebuilds one of their
+    classes, named by canonical_form."""
     for n in range(0, 5):
-        count, flags = 0, {}
+        count, forms = 0, set()
         for g in all_pseudographs(n):
             if recognize(g).verdict:
                 count += 1
-                conn = len(g.components()) == 1 and any(g.rows)
-                assert flags.setdefault(canonical_form(g), conn) == conn
+                forms.add(canonical_form(g))
         masks = 2 ** (n * (n + 1) // 2)
         got_count, classes = generate._census_range((n, 0, masks))
-        labels = tuple(range(1, n + 1))
-        got = {
-            canonical_form(PseudoGraph._from_rows(labels, core + (0,) * pad)):
-            conn
-            for (pad, core), conn in classes.items()
-        }
-        assert (got_count, got) == (count, flags)
+        got = {canonical_form(_weight_class(n, w)) for w in classes}
+        assert (got_count, len(got)) == (count, len(classes))
+        assert got == forms
 
 
 def test_census_builds_at_most_one_graph_per_yes_graph(monkeypatch):
@@ -368,6 +377,10 @@ def test_census_parallel_agrees():
 
 def test_census_parallel_agrees_at_four():
     assert census(4, jobs=2) == census(4)
+
+
+def test_census_parallel_agrees_at_five():
+    assert census(5, jobs=2) == census(5)
 
 
 @pytest.mark.slow

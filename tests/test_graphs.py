@@ -167,6 +167,28 @@ def test_apply_sequence_and_position_reporting(cup2):
     assert (exc.value.vertex, exc.value.position) == (9, 2)
 
 
+def test_replay_names_a_label_outside_the_graph():
+    """An unknown label is reported as not in the graph, with and
+    without a trace; a loopless label before it is reported first."""
+    g = PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 3)}))
+    missing = "invalid: vertex 9 is not in the graph"
+    for trace in (False, True):
+        with pytest.raises(InvalidPressError) as exc:
+            g._replay((9,), trace)
+        assert str(exc.value) == f"press 1 {missing}"
+        assert exc.value.missing
+        with pytest.raises(InvalidPressError) as exc:
+            g._replay((1, 3, 9), trace)
+        assert str(exc.value) == f"press 3 {missing}"
+        with pytest.raises(InvalidPressError) as exc:
+            g._replay((2, 9), trace)
+        assert str(exc.value) == "press 1 invalid: vertex 2 is not looped"
+        assert not exc.value.missing
+    assert g.is_successful((9,)) is False
+    with pytest.raises(UnknownVertexError):
+        g.press(9)
+
+
 def test_is_successful(cup2):
     assert cup2.is_successful((1, 2))
     assert not cup2.is_successful((1,))  # loop remains on 2
@@ -270,6 +292,9 @@ def test_graph_text_round_trip():
         ("2\n1 2\n1 2\n\nmore\n", "line 5"),
         ("2\n2 1\n", "increasing"),
         ("2\n1 2\n1 3\n", "leaves the graph"),
+        ("2\n2 1\n1 1\n", "^line 2: labels must be strictly increasing "),
+        ("2\n1 2\n1 1\n2 5\n", r"^line 4: edge \(2, 5\) leaves the graph$"),
+        ("2\n1 2\n1 7\n+2 02\n5 1\n", r"^line 3: edge \(1, 7\) leaves"),
     ],
 )
 def test_graph_parse_errors_name_the_line(text, fragment):

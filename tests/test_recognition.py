@@ -439,18 +439,20 @@ def test_recognize_equals_second_elimination_exhaustively():
 def test_decide_equals_second_elimination():
     """The census core on bare rows, its order mapped to labels, against
     the second elimination: every graph with n <= 4 and every fifth one
-    with n = 5."""
+    with n = 5.  Column weights come back on yes only."""
     graphs = itertools.chain(
         *(all_pseudographs(n) for n in range(0, 5)),
         itertools.islice(all_pseudographs(5), 0, None, 5),
     )
     reasons = set()
     for g in graphs:
-        reason, column, order = recognition._decide(g.rows)
+        reason, column, order, weights = recognition._decide(g.rows)
         seq = tuple(g.labels[i] for i in order) if reason is None else None
         want = reference_recognize(g)
         got = (reason is None, seq, reason, column)
         assert got == (want.verdict, want.sequence, want.reason, want.column)
+        # Weights only on yes, one per nonzero row.
+        assert len(weights) == (reason is None) * (g.n - g.rows.count(0))
         reasons.add(reason)
     assert reasons == {
         None,
