@@ -11,9 +11,7 @@ The greedy order below repeatedly presses a looped vertex of maximum
 degree (loop included), breaking ties toward the smaller label.  For a
 graph with exactly one successful pressing sequence the maximum is
 provably unique at every step, so an observed tie is a certificate of
-non-uniqueness; the order records where the first one happened.  With
-``stop_at_tie`` the greedy returns at that tie, before pressing, since
-no later press can change the verdict.
+non-uniqueness; the order records where the first one happened.
 """
 
 from __future__ import annotations
@@ -76,30 +74,21 @@ class PressingOrder(_Record):
 
     ``permutation`` lists the pressed labels in press order.
     ``first_tie`` is the 1-based step at which two looped vertices first
-    shared the maximum degree, or None.  ``complete`` is True when the
-    greedy ran to the end: the vertices left unpressed ended isolated
-    and loopless.  It is False only when ``stop_at_tie`` stopped the
-    greedy at its first tie; ``permutation`` then holds the
-    ``first_tie - 1`` presses made before it.
-
-    ``pivot_rows`` holds each pressed row as it was just before its
-    press, in the graph's own columns.  With the columns put in press
-    order, then the unpressed vertices, they are the instructional
-    root's rows; the unpressed vertices' root rows are zero.
+    shared the maximum degree, or None.  ``complete`` is always True:
+    the greedy ran to the end, and the vertices left unpressed ended
+    isolated and loopless.
     """
 
-    __match_args__ = ("permutation", "complete", "first_tie", "pivot_rows")
+    __match_args__ = ("permutation", "complete", "first_tie")
 
     def __init__(
         self,
         permutation: tuple[int, ...],
         complete: bool,
         first_tie: int | None = None,
-        pivot_rows: tuple[int, ...] = (),
     ) -> None:
         self.__dict__.update(
-            permutation=permutation, complete=complete, first_tie=first_tie,
-            pivot_rows=pivot_rows,
+            permutation=permutation, complete=complete, first_tie=first_tie
         )
 
 
@@ -146,29 +135,20 @@ def _root_rows(rows: list[int]) -> list[int]:
     return root + [0] * (len(rows) - len(root))
 
 
-def find_pressing_order(
-    g: PseudoGraph, *, stop_at_tie: bool = False
-) -> PressingOrder:
+def find_pressing_order(g: PseudoGraph) -> PressingOrder:
     """Greedy pressing order: max-degree looped vertex, smallest label first.
 
     Runs the greedy core, _greedy, until no looped vertex remains.  If
     any edge survives, UnpressableError carries one leftover component.
     That failure certifies the graph is not uniquely pressable; it does
     not rule out a successful sequence along some other order.
-
-    With ``stop_at_tie`` the greedy returns at its first tie, before
-    pressing, with ``complete`` False and the presses made so far; a
-    stall met before any tie still raises UnpressableError.
     """
     labels = g.labels
-    order, pivots, first_tie, rows, alive = _greedy(g.rows, stop_at_tie)
-    seq = tuple(labels[i] for i in order)
-    if stop_at_tie and first_tie is not None:
-        return PressingOrder(seq, False, first_tie, tuple(pivots))
+    order, _, first_tie, rows, alive = _greedy(g.rows, False)
     if alive:
         comp = iter_support(_reach(rows, rows[alive[0]]))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
-    return PressingOrder(seq, True, first_tie, tuple(pivots))
+    return PressingOrder(tuple(labels[i] for i in order), True, first_tie)
 
 
 def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
@@ -178,7 +158,15 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     indices, each one's row just before its press, the 1-based step of
     the first tie or None, the pressed copy and the indices still
     nonzero.  ``alive`` is nonempty after a stall, or after
-    ``stop_at_tie`` stopped the loop at ``first_tie``.
+    ``stop_at_tie`` stopped the loop at ``first_tie``, before pressing.
+
+    With no tie and no stall, every nonzero row was pressed.  With no
+    stall every row ends at zero.  A row changes only when a pivot whose
+    bit it holds is XORed into it, and a press keeps the rows symmetric.
+    Were row v never pressed yet zeroed, then just before some press of
+    p != v row v held bit p and equalled row p; by symmetry row p held
+    bit v, so row v held bit v: v was looped with the degree of p, the
+    maximum, and the scan tied.
     """
     n = len(rows)
     rows = list(rows)

@@ -223,7 +223,10 @@ def all_pseudographs(n: int):
     """Yield every graph on labels 1..n, one per subset of vertex pairs."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    yield from _pseudographs(n, 0, 1 << len(_pairs(n)))
+    labels = tuple(range(1, n + 1))
+    wrap = PseudoGraph._from_rows
+    for rows in _mask_rows(n, 0, 1 << len(_pairs(n))):
+        yield wrap(labels, rows)
 
 
 def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
@@ -249,14 +252,6 @@ def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
             table.append(tuple(rows))
         tables.append(table)
     return tables
-
-
-def _pseudographs(n: int, lo: int, hi: int) -> Iterator[PseudoGraph]:
-    """The graphs on labels 1..n with pair-mask in [lo, hi), in order."""
-    labels = tuple(range(1, n + 1))
-    wrap = PseudoGraph._from_rows
-    for rows in _mask_rows(n, lo, hi):
-        yield wrap(labels, rows)
 
 
 def _mask_rows(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:

@@ -201,9 +201,10 @@ def recognize(g: PseudoGraph) -> RecognitionReport:
     greedy order then stops at its first tie (TIE) or stall
     (UNPRESSABLE), whichever comes first; each is impossible for a
     uniquely pressable graph, so no press past it is made.  Otherwise
-    the greedy's pivot rows, the root in g's own columns, are checked
-    against the four column properties in press order (PROPk); the
-    matrix is eliminated only once.
+    the greedy has pressed every core vertex (proved at _greedy), and
+    its pivot rows, the root in g's own columns, are checked against
+    the four column properties in press order (PROPk); the matrix is
+    eliminated only once.
     """
     labels, rows = g.labels, g.rows
     reason, column, order, _ = _decide(rows)
@@ -237,11 +238,8 @@ def _decide(
         return REASON_TIE, None, order, ()
     if alive:
         return REASON_UNPRESSABLE, None, order, ()
-    # Unproven dead code: a test pins that no unpressed nonzero row is
-    # left here on any graph with n <= 5, but there is no proof.
-    seen = set(order)
-    rest = [i for i, r in enumerate(rows) if r and i not in seen]
-    report = _check_columns(pivots + [0] * len(rest), order + rest)
+    # With no tie and no stall every nonzero row was pressed (_greedy).
+    report = _check_columns(pivots, order)
     failure = report.first_failure()
     if failure is None:
         return None, None, order, report.column_weights

@@ -18,7 +18,6 @@ from pressgraph import (
     GraphFormatError,
     InvalidPressError,
     MatrixFormatError,
-    PressingOrder,
     PseudoGraph,
     UnpressableError,
     iter_support,
@@ -276,13 +275,16 @@ def reference_parse_graph(text):
     return PseudoGraph(labels, frozenset(edges))
 
 
-def reference_find_pressing_order(g, *, stop_at_tie=False):
+def reference_find_pressing_order(g, stop_at_tie=False):
     """The greedy order with its loop inline on the graph.
 
     A copy of find_pressing_order from before its loop moved into the
-    bare-row core cholesky._greedy, kept as an oracle: every graph must
-    give an equal PressingOrder, or an UnpressableError with the same
-    component and message, under both.
+    bare-row core cholesky._greedy, kept as an oracle for both of the
+    core's modes.  Returns ``(permutation, complete, first_tie,
+    pivot_rows)``: the pressed labels, False only when ``stop_at_tie``
+    stopped it at its first tie, the 1-based step of that tie or None,
+    and each pressed row just before its press.  A stall met before
+    any stop raises UnpressableError with one leftover component.
     """
     labels = g.labels
     n = g.n
@@ -309,16 +311,14 @@ def reference_find_pressing_order(g, *, stop_at_tie=False):
         if tied and first_tie is None:
             first_tie = len(order) + 1
             if stop_at_tie:
-                return PressingOrder(
-                    tuple(order), False, first_tie, tuple(pivots)
-                )
+                return tuple(order), False, first_tie, tuple(pivots)
         order.append(labels[best])
         pivots.append(rows[best])
         alive = _press(rows, best, alive)
     if alive:
         comp = iter_support(_reach(rows, rows[alive[0]]))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
-    return PressingOrder(tuple(order), True, first_tie, tuple(pivots))
+    return tuple(order), True, first_tie, tuple(pivots)
 
 
 def reference_matrix_from_text(text):

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from pressgraph import cholesky
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -250,26 +251,23 @@ def test_greedy_outcome_exhaustive():
 
 
 def test_greedy_pivot_rows_are_the_root_in_graph_columns():
-    """Reordered to the press order, the greedy's pivot rows are the
-    instructional root's rows; the unpressed vertices' rows are zero."""
+    """Reordered to the press order, the pivot rows of the greedy run to
+    the end are the instructional root's rows; the unpressed vertices'
+    rows are zero.  recognize checks the columns on exactly these rows."""
     graphs = [g for n in range(1, 7) for g in generate_cup(n)]
     graphs += list(all_pseudographs(3))
     graphs += [random_cup(n) for n in (16, 40)]
     for g in graphs:
-        try:
-            po = find_pressing_order(g)
-        except UnpressableError:
+        order, pivots, _, _, alive = cholesky._greedy(g.rows, False)
+        if alive:
             continue
-        assert len(po.pivot_rows) == len(po.permutation)
-        full = po.permutation + tuple(
-            sorted(set(g.labels) - set(po.permutation))
-        )
-        pos = {lab: i for i, lab in enumerate(g.labels)}
+        assert len(pivots) == len(order)
+        full = order + sorted(set(range(g.n)) - set(order))
         got = [
-            sum(1 << t for t, lab in enumerate(full) if r >> pos[lab] & 1)
-            for r in po.pivot_rows
+            sum(1 << t for t, i in enumerate(full) if r >> i & 1)
+            for r in pivots
         ]
-        reordered = g.relabel({lab: t for t, lab in enumerate(full, 1)})
+        reordered = g.relabel({g.labels[i]: t for t, i in enumerate(full, 1)})
         root = instructional_root(reordered.adjacency_matrix()).matrix
         k = len(got)
         assert tuple(got) == root.row_bits[:k]
@@ -299,57 +297,45 @@ def _stop_at_tie_graphs():
 
 
 def test_stop_at_tie_is_the_full_greedy_cut_at_its_first_tie():
-    """stop_at_tie=True returns the default call's result when nothing
-    ties; else its first tie, with complete False and the presses made
-    before it.  A stall before any tie raises the same error."""
+    """_greedy(rows, True) is _greedy(rows, False) when nothing ties;
+    else it stops at the first tie, before pressing, with the
+    first_tie - 1 presses made before it and rows still alive."""
+    # A star pressed at its looped center loops both leaves with equal
+    # degree: a tie at step 2, after one press of pivot row 0b111.
+    star = PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 2), (1, 3)}))
+    order, pivots, tie, _, alive = cholesky._greedy(star.rows, True)
+    assert (order, pivots, tie, alive) == ([0], [0b111], 2, [1, 2])
     kinds = set()
     for g in _stop_at_tie_graphs():
-        try:
-            full = find_pressing_order(g)
-        except UnpressableError as exc:
-            full, stall = None, exc
-        tie = naive_greedy(g)[1]
+        full = cholesky._greedy(g.rows, False)
+        early = cholesky._greedy(g.rows, True)
+        order, pivots, tie, _, alive = full
+        assert tie == naive_greedy(g)[1]
         if tie is None:
-            kinds.add("no tie" if full else "stall")
-            if full is not None:
-                assert find_pressing_order(g, stop_at_tie=True) == full
-                continue
-            with pytest.raises(UnpressableError) as exc:
-                find_pressing_order(g, stop_at_tie=True)
-            assert exc.value.component == stall.component
-            assert str(exc.value) == str(stall)
+            kinds.add("stall" if alive else "no tie")
+            assert early == full
             continue
-        kinds.add("tie" if full else "tie, then stall")
-        early = find_pressing_order(g, stop_at_tie=True)
-        assert (early.first_tie, early.complete) == (tie, False)
-        assert len(early.permutation) == len(early.pivot_rows) == tie - 1
-        if full is not None:
-            assert full.first_tie == tie
-            assert early.permutation == full.permutation[: tie - 1]
-            assert early.pivot_rows == full.pivot_rows[: tie - 1]
-            continue
-        # No full order to cut: check the presses against the edge-set
-        # greedy, and each pivot row against the state it was read off.
-        assert early.permutation == naive_greedy(g)[0][: tie - 1]
+        kinds.add("tie, then stall" if alive else "tie")
+        e_order, e_pivots, e_tie, e_rows, e_alive = early
+        assert e_tie == tie
+        assert (e_order, e_pivots) == (order[: tie - 1], pivots[: tie - 1])
+        assert e_alive == [i for i, r in enumerate(e_rows) if r]
+        assert e_alive
+        # Each pivot row against the state it was read off.
         state = g
-        for v, row in zip(early.permutation, early.pivot_rows):
-            assert row == state.rows[g.labels.index(v)]
-            state = state.press(v)
+        for i, row in zip(e_order, e_pivots):
+            assert row == state.rows[i]
+            state = state.press(g.labels[i])
+        assert tuple(e_rows) == state.rows
     assert kinds == {"no tie", "stall", "tie", "tie, then stall"}
 
 
-def _greedy_outcome(find, g, stop_at_tie):
-    try:
-        return find(g, stop_at_tie=stop_at_tie)
-    except UnpressableError as exc:
-        return type(exc), exc.component, str(exc)
-
-
 def test_greedy_matches_the_inline_reference():
-    """find_pressing_order, a wrapper of the bare-row core _greedy,
-    gives the old inline greedy's orders, and its components and
-    messages on a stall, with and without stop_at_tie: on every graph
-    with n <= 4, every 8th with n = 5, and 400 random ones up to 40."""
+    """_greedy in both modes gives the old inline greedy's presses,
+    pivot rows and first tie, and stalls where it raised; its wrapper
+    find_pressing_order gives the same order, or the same component and
+    message on a stall.  On every graph with n <= 4, every 8th with
+    n = 5, and 400 random ones up to 40."""
     graphs = itertools.chain(
         _stop_at_tie_graphs(),
         itertools.islice(all_pseudographs(5), 0, None, 8),
@@ -357,16 +343,23 @@ def test_greedy_matches_the_inline_reference():
     kinds = set()
     for g in graphs:
         for stop in (False, True):
-            got = _greedy_outcome(find_pressing_order, g, stop)
-            want = _greedy_outcome(reference_find_pressing_order, g, stop)
-            assert got == want, (g, stop)
-            kinds.add(got[0] if isinstance(got, tuple) else got.complete)
-    assert kinds == {True, False, UnpressableError}
-
-
-def test_stop_at_tie_is_keyword_only(cup2):
-    with pytest.raises(TypeError):
-        find_pressing_order(cup2, True)
-    h = PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 2), (1, 3)}))
-    po = find_pressing_order(h, stop_at_tie=True)
-    assert po == PressingOrder((1,), False, 2, (0b111,))
+            order, pivots, tie, _, alive = cholesky._greedy(g.rows, stop)
+            try:
+                want = reference_find_pressing_order(g, stop)
+            except UnpressableError:
+                assert alive and not (stop and tie is not None), (g, stop)
+                kinds.add("stall")
+                continue
+            seq = tuple(g.labels[i] for i in order)
+            assert (seq, not alive, tie, tuple(pivots)) == want, (g, stop)
+            kinds.add(want[1])
+        try:
+            want = reference_find_pressing_order(g)
+        except UnpressableError as stall:
+            with pytest.raises(UnpressableError) as exc:
+                find_pressing_order(g)
+            assert exc.value.component == stall.component
+            assert str(exc.value) == str(stall)
+            continue
+        assert find_pressing_order(g) == PressingOrder(*want[:3])
+    assert kinds == {True, False, "stall"}

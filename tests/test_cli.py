@@ -84,6 +84,27 @@ def test_recognize_reports_the_tie_before_the_stall():
     assert (code, out) == (1, "verdict: no\nreason: TIE\nsequences: 6\n")
 
 
+@pytest.mark.parametrize(
+    "name, reason, sequences",
+    [
+        ("stall2", "UNPRESSABLE", 0),
+        ("prop1", "PROP1 col 4", 6),
+        ("prop2", "PROP2 col 5", 7),
+        ("prop3", "PROP3 col 6", 2),
+        ("prop4", "PROP4 col 4", 4),
+    ],
+)
+def test_recognize_reaches_every_no_reason(name, reason, sequences):
+    """The smallest graphs found that reach UNPRESSABLE and each PROPk,
+    with and without the brute-force count."""
+    path = str(DATA / f"{name}.graph")
+    want = f"verdict: no\nreason: {reason}\n"
+    code, out, _ = run_cli(["recognize", path])
+    assert (code, out) == (1, want)
+    code, out, _ = run_cli(["recognize", "--oracle-bound", "6", path])
+    assert (code, out) == (1, want + f"sequences: {sequences}\n")
+
+
 def test_recognize_multi_component_matrix_input():
     code, out, _ = run_cli(["recognize", EXAMPLE5])
     assert code == 1

@@ -236,8 +236,9 @@ def test_all_pseudographs_tables_are_bounded():
     tables = generate._pair_tables(12)
     assert [len(t) for t in tables] == [256] * 9 + [64]
     assert next(all_pseudographs(12)) == PseudoGraph(range(1, 13), ())
-    chunk = list(generate._pseudographs(12, 2**70 - 3, 2**70 + 3))
-    assert chunk == [_edge_built(12, m) for m in range(2**70 - 3, 2**70 + 3)]
+    chunk = list(generate._mask_rows(12, 2**70 - 3, 2**70 + 3))
+    want = [_edge_built(12, m).rows for m in range(2**70 - 3, 2**70 + 3)]
+    assert chunk == want
 
 
 def _weight_class(n, weights):
@@ -274,6 +275,33 @@ def test_weight_key_agrees_with_canonical_form():
         masks = 2 ** (n * (n + 1) // 2)
         _, classes = generate._census_range((n, 0, masks))
         assert classes == set(key_to_form)
+
+
+def test_weight_key_rebuilds_the_core_past_n_5():
+    """The weight key is complete on cups up to n = 128, permuted and
+    padded with isolated vertices: _decide says yes, and the U built
+    from its weights gives U^T U equal to the core rows renamed to
+    press order."""
+    rng = random.Random(128)
+    for trial in range(60):
+        n = rng.randint(1, 128)
+        if trial % 2:
+            g = random_cup(n, rng)
+        else:
+            word = ("R" if rng.random() < 0.75 else "L" for _ in range(n - 1))
+            g = cup_from_choices(word)
+        spare = rng.randint(0, 4)
+        perm = rng.sample(range(n + spare), n + spare)
+        rows = [0] * (n + spare)
+        for i, r in enumerate(g.rows):
+            rows[perm[i]] = sum(1 << perm[j] for j in range(n) if r >> j & 1)
+        reason, _, order, weights = recognition._decide(rows)
+        assert reason is None and len(weights) == n
+        pos = {i: t for t, i in enumerate(order)}
+        renamed = tuple(
+            sum(1 << pos[j] for j in pos if rows[i] >> j & 1) for i in order
+        )
+        assert _weight_class(n, weights).rows == renamed
 
 
 def test_census_range_matches_a_public_recognize_sweep():

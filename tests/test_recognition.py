@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from pressgraph import (
     from_adjacency,
     generate_cup,
     instructional_root,
+    parse_graph,
     pressing_length,
     principal_submatrix,
     random_cup,
@@ -29,6 +31,12 @@ from pressgraph import (
     transpose_mul,
 )
 from conftest import naive_greedy, naive_successful_sequences
+
+
+# The smallest graph found whose greedy reaches PROP3 (column 6).
+PROP3_GRAPH = parse_graph(
+    (Path(__file__).parent / "data" / "prop3.graph").read_text()
+)
 
 
 def tie4_graph():
@@ -414,11 +422,12 @@ def _scatter(g, rng, spare=3):
 
 
 def test_recognize_equals_second_elimination_exhaustively():
-    """Every graph with n <= 4, and every eighth one with n = 5, which
-    between them reach every reason code but PROP3."""
+    """Every graph with n <= 4, every eighth one with n = 5, and a
+    PROP3 graph on 6 vertices: between them, every reason code."""
     graphs = itertools.chain(
         *(all_pseudographs(n) for n in range(0, 5)),
         itertools.islice(all_pseudographs(5), 0, None, 8),
+        [PROP3_GRAPH],
     )
     reasons = set()
     for g in graphs:
@@ -432,17 +441,20 @@ def test_recognize_equals_second_elimination_exhaustively():
         REASON_TIE,
         "PROP1",
         "PROP2",
+        "PROP3",
         "PROP4",
     }
 
 
 def test_decide_equals_second_elimination():
     """The census core on bare rows, its order mapped to labels, against
-    the second elimination: every graph with n <= 4 and every fifth one
-    with n = 5.  Column weights come back on yes only."""
+    the second elimination: every graph with n <= 4, every fifth one
+    with n = 5, and a PROP3 graph on 6 vertices.  Column weights come
+    back on yes only."""
     graphs = itertools.chain(
         *(all_pseudographs(n) for n in range(0, 5)),
         itertools.islice(all_pseudographs(5), 0, None, 5),
+        [PROP3_GRAPH],
     )
     reasons = set()
     for g in graphs:
@@ -461,6 +473,7 @@ def test_decide_equals_second_elimination():
         REASON_TIE,
         "PROP1",
         "PROP2",
+        "PROP3",
         "PROP4",
     }
 
@@ -522,19 +535,44 @@ def test_column_weights_match_a_per_column_count():
 
 
 def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
-    """On every graph with n <= 5, a stop-at-tie greedy that ends with
-    no tie and no stall has pressed every vertex with a nonzero row, so
-    _decide's branch that appends an unpressed core never runs.
-    There is no proof for larger n, so the branch stays."""
-    completions = 0
-    for n in range(6):
-        for g in all_pseudographs(n):
-            order, _, first_tie, _, alive = cholesky._greedy(g.rows, True)
-            if first_tie is None and not alive:
-                completions += 1
-                nonzero = {i for i, r in enumerate(g.rows) if r}
-                assert set(order) == nonzero, g
+    """A stop-at-tie greedy that ends with no tie and no stall has
+    pressed every vertex with a nonzero row, so _decide checks the
+    columns of the whole core.  The proof is in _greedy's docstring: a
+    row zeroed without its own press equalled its pivot, so it was
+    looped with the maximum degree and the scan tied.  Checked on every
+    graph with n <= 5, then on seeded random graphs and on permuted
+    cups with a few flipped pairs, up to n = 60."""
+
+    def check(rows):
+        order, _, first_tie, _, alive = cholesky._greedy(rows, True)
+        if first_tie is not None or alive:
+            return 0
+        assert set(order) == {i for i, r in enumerate(rows) if r}, rows
+        return 1
+
+    completions = sum(
+        check(g.rows) for n in range(6) for g in all_pseudographs(n)
+    )
     assert completions == 3241
+
+    rng = random.Random(60)
+    swept = 0
+    for trial in range(4000):
+        n = rng.randint(1, 60)
+        labels = range(1, n + 1)
+        if trial % 2:
+            p = rng.uniform(0.03, 0.5)
+            pairs = itertools.combinations_with_replacement(labels, 2)
+            g = PseudoGraph(labels, {e for e in pairs if rng.random() < p})
+        else:
+            flipped = {
+                tuple(sorted(rng.choices(labels, k=2)))
+                for _ in range(rng.randint(0, 3))
+            }
+            g = random_cup(n, rng)
+            g = _scatter(PseudoGraph(labels, g.edges ^ flipped), rng)
+        swept += check(g.rows)
+    assert swept > 500
 
 
 def test_recognize_stays_on_the_rows(monkeypatch):
