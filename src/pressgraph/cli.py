@@ -266,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser(
-        "census", help="exhaustive recognition sweep over n-vertex graphs"
+        "census",
+        help="count the n-vertex graphs with one successful pressing "
+        "sequence, from the definition",
     )
     p.add_argument("n", type=int)
     p.add_argument(
@@ -274,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5,
         metavar="N",
-        help="largest n the sweep will accept (default 5)",
+        help="largest n the census will accept (default 5)",
     )
     p.add_argument(
         "--jobs", type=int, default=1, metavar="N", help="worker processes"

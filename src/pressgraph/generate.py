@@ -24,9 +24,9 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from operator import or_
+from operator import getitem, or_
 
-from .gf2 import _Record, iter_support
+from .gf2 import _Record, _press, iter_support
 from .graphs import PseudoGraph
 from .recognition import OracleBoundError, _decide
 
@@ -291,8 +291,66 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     return best if best is not None else ()
 
 
+def _drops(n: int) -> list[list[list[int]]]:
+    """Squeeze tables from n-vertex rows to (n - 1)-vertex pair-masks.
+
+    drop[v][u][r] is the part of the pair-mask of G - v that row u adds
+    when it holds r: bit j >= u of r, j != v, is the pair of indices u
+    and j, each moved down by one when above v.  Row v adds nothing.
+    """
+    index = {pair: 1 << t for t, pair in enumerate(_pairs(n - 1))}
+    drop = []
+    for v in range(n):
+        per_row = []
+        for u in range(n):
+            bits = [
+                index[u - (u > v) + 1, j - (j > v) + 1]
+                if u != v and j != v and j >= u else 0
+                for j in range(n)
+            ]
+            per_row.append([
+                sum(b for j, b in enumerate(bits) if r >> j & 1)
+                for r in range(1 << n)
+            ])
+        drop.append(per_row)
+    return drop
+
+
+def _counts(n: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """c(G) capped at 2, and G's rows, for each pair-mask in [lo, hi).
+
+    c(G) is the number of successful pressing sequences of G, from the
+    definition: 1 for the edgeless graph, else the sum over looped v of
+    c(G_v), where G_v is G pressed at v with v deleted.  A press leaves
+    v isolated, so c(G_v) is one lookup in the capped table of every
+    (n - 1)-vertex pair-mask, which is built first, the same way.
+    """
+    below = b""
+    if n:
+        masks = 1 << len(_pairs(n - 1))
+        below = bytearray(c for c, _ in _counts(n - 1, 0, masks))
+    drop = _drops(n)
+    verts = range(n)
+    for rows in _mask_rows(n, lo, hi):
+        total = 0 if any(rows) else 1
+        for v in verts:
+            if rows[v] >> v & 1:
+                pressed = list(rows)
+                _press(pressed, v, verts)
+                total += below[sum(map(getitem, drop[v], pressed))]
+                if total >= 2:
+                    # A sum of 1 + 2 would otherwise store 3.
+                    total = 2
+                    break
+        yield total, rows
+
+
 class CensusResult(_Record):
-    """Tallies from an exhaustive sweep of all graphs on n vertices."""
+    """Tallies of the uniquely pressable graphs among all on n vertices.
+
+    labeled_total counts pair-masks with exactly one successful
+    sequence; the classes are counted by the recognizer's weight keys.
+    """
 
     __match_args__ = (
         "n", "labeled_total", "up_iso_classes", "cup_iso_classes"
@@ -316,18 +374,27 @@ class CensusResult(_Record):
 
 
 def _census_range(args: tuple[int, int, int]) -> tuple[int, set]:
-    """Decide every pair-mask in [lo, hi) on its bare rows.
+    """Count the pair-masks in [lo, hi) with one successful sequence.
 
-    Returns the yes count and the set of class keys, each yes graph's
-    root column weights w; the padding is n - len(w).  By property 1
-    the ones of column j are rows j - w_j + 1 .. j, so w fixes the root
-    U and with it A = U^T U in press order; and an isomorphism between
-    yes graphs carries one unique sequence onto the other, so two share
-    a key exactly when they are isomorphic.
+    The count comes from the definition (_counts); only those graphs
+    reach the recognizer core, which must say yes on each, for its
+    class key: the root column weights w, the padding being n - len(w).
+    By property 1 the ones of column j are rows j - w_j + 1 .. j, so w
+    fixes the root U and with it A = U^T U in press order; and an
+    isomorphism between yes graphs carries one unique sequence onto the
+    other, so two share a key exactly when they are isomorphic.
     """
-    decided = map(_decide, _mask_rows(*args))
-    yes = [weights for reason, _, _, weights in decided if reason is None]
-    return len(yes), set(yes)
+    keys = []
+    for c, rows in _counts(*args):
+        if c == 1:
+            reason, _, _, weights = _decide(rows)
+            if reason is not None:
+                raise RuntimeError(
+                    f"recognizer says {reason} on rows {rows}, which have "
+                    "exactly one successful pressing sequence"
+                )
+            keys.append(weights)
+    return len(keys), set(keys)
 
 
 def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
@@ -339,10 +406,12 @@ def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
 
 
 def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
-    """Exhaustive recognition sweep over all 2^(n(n+1)/2) graphs.
+    """Census of the uniquely pressable graphs among all 2^(n(n+1)/2).
 
-    Counts labeled uniquely pressable graphs, their isomorphism
-    classes, and the connected classes with an edge (the cup cores).
+    Counts the labeled graphs with exactly one successful pressing
+    sequence, by that definition (_counts), then their isomorphism
+    classes and the connected classes with an edge (the cup cores), by
+    the recognizer's keys on those graphs alone.
     Refuses n above the size bound; jobs > 1 splits the mask range
     across at most min(jobs, CPU count) processes.
     """

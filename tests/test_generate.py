@@ -18,6 +18,7 @@ from pressgraph import generate, recognition
 from pressgraph import (
     BitMatrix,
     CensusResult,
+    InvalidPressError,
     NotUniquelyPressableError,
     OracleBoundError,
     PseudoGraph,
@@ -31,12 +32,15 @@ from pressgraph import (
     extend_left,
     extend_right,
     generate_cup,
+    pressing_length,
     random_cup,
     recognize,
     shift_labels,
     total_count,
     transpose_mul,
+    UnpressableError,
 )
+from pressgraph.gf2 import _press
 
 K1_LOOP = PseudoGraph((1,), frozenset({(1, 1)}))
 
@@ -305,7 +309,7 @@ def test_weight_key_rebuilds_the_core_past_n_5():
 
 
 def test_census_range_matches_a_public_recognize_sweep():
-    """At n <= 4 the bare-row sweep counts the yes graphs of public
+    """At n <= 4 the census range counts the yes graphs of public
     recognize, and each of its weight keys rebuilds one of their
     classes, named by canonical_form."""
     for n in range(0, 5):
@@ -322,7 +326,7 @@ def test_census_range_matches_a_public_recognize_sweep():
 
 
 def test_census_builds_at_most_one_graph_per_yes_graph(monkeypatch):
-    """census runs the recognizer core on bare rows: no mask, yes or
+    """census counts and keys every mask on bare rows: no mask, yes or
     no, costs a PseudoGraph of its own."""
     built = []
     from_rows = PseudoGraph._from_rows.__func__
@@ -346,7 +350,7 @@ def test_census_builds_at_most_one_graph_per_yes_graph(monkeypatch):
 
 
 def test_census_builds_no_report(monkeypatch):
-    """census decides each mask on the bare-row core: no mask, yes or
+    """census keys the yes masks on the bare-row core: no mask, yes or
     no, builds a RecognitionReport."""
     built = []
     init = RecognitionReport.__init__
@@ -386,7 +390,7 @@ def test_census_small_sizes():
 
 
 def test_census_matches_closed_forms():
-    for n in range(1, 5):
+    for n in range(1, 6):
         result = census(n)
         assert result.up_iso_classes == total_count(n)
         assert result.cup_iso_classes == cup_count(n)
@@ -414,7 +418,9 @@ def test_census_parallel_agrees_at_five():
 @pytest.mark.slow
 def test_census_six_matches_closed_forms():
     assert (total_count(6), cup_count(6)) == (23, 9)
-    assert census(6, bound=6, jobs=2) == CensusResult(6, 12157, 23, 9)
+    labeled = sum(math.perm(6, k) * cup_count(k) for k in range(7))
+    assert labeled == 12157
+    assert census(6, bound=6, jobs=2) == CensusResult(6, labeled, 23, 9)
 
 
 @pytest.mark.parametrize(
@@ -457,6 +463,26 @@ def test_census_pool_never_exceeds_the_masks(monkeypatch):
     assert sizes == [2, 8]
 
 
+def test_census_runs_the_recognizer_on_the_yes_masks_only(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(rows)
+        return recognition._decide(rows)
+
+    monkeypatch.setattr(generate, "_decide", counted)
+    assert census(4).labeled_total == 137 == len(calls)
+
+
+def test_census_raises_when_the_recognizer_says_no_on_a_yes_mask(
+    monkeypatch,
+):
+    no = ("TIE", None, [], ())
+    monkeypatch.setattr(generate, "_decide", lambda rows: no)
+    with pytest.raises(RuntimeError, match="TIE on rows"):
+        census(2)
+
+
 def test_census_bounds():
     with pytest.raises(ValueError):
         census(0)
@@ -473,6 +499,107 @@ def test_census_to_text():
 
 
 # ------------------------------------------------- cross-checking oracles
+
+
+def _masks(n):
+    return 2 ** (n * (n + 1) // 2)
+
+
+def _uncapped_counts(n):
+    """Successful sequences of every n-vertex graph, keyed by its rows:
+    1 for the edgeless graph, else the sum over looped v of the count
+    of G pressed at v with v deleted, looked up by its rows, with bit v
+    squeezed out of each, not by a pair-mask."""
+    if n == 0:
+        return {(): 1}
+    below = _uncapped_counts(n - 1)
+    counts = {}
+    for rows in generate._mask_rows(n, 0, _masks(n)):
+        total = 0 if any(rows) else 1
+        for v in range(n):
+            if rows[v] >> v & 1:
+                pressed = list(rows)
+                _press(pressed, v, range(n))
+                low = (1 << v) - 1
+                total += below[tuple(
+                    r & low | r >> 1 & ~low
+                    for i, r in enumerate(pressed) if i != v
+                )]
+        counts[rows] = total
+    return counts
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_counts_are_the_capped_bruteforce_counts(n):
+    """Uncapped, the recursion counts what brute force counts on every
+    mask with n <= 4; _counts is that count capped at 2."""
+    uncapped = _uncapped_counts(n)
+    labels = tuple(range(1, n + 1))
+    for c, rows in generate._counts(n, 0, _masks(n)):
+        g = PseudoGraph._from_rows(labels, rows)
+        assert uncapped[rows] == count_sequences_bruteforce(g)
+        assert c == min(uncapped[rows], 2)
+
+
+def _counts_agree_with_decide(n):
+    for c, rows in generate._counts(n, 0, _masks(n)):
+        assert (c == 1) == (recognition._decide(rows)[0] is None), rows
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_counts_agree_with_decide(n):
+    """The definition's count and the recognizer give the same verdict
+    on every graph with n <= 5: the only check on _decide's no
+    verdicts, which census no longer reaches."""
+    _counts_agree_with_decide(n)
+
+
+@pytest.mark.slow
+def test_counts_agree_with_decide_at_six():
+    _counts_agree_with_decide(6)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_counts_are_nonzero_exactly_on_the_pressable_graphs(n):
+    """c >= 1 iff every nontrivial component has a looped vertex
+    (Cooper and Davis), the test pressing_length makes."""
+    labels = tuple(range(1, n + 1))
+    for c, rows in generate._counts(n, 0, _masks(n)):
+        try:
+            pressing_length(PseudoGraph._from_rows(labels, rows))
+        except UnpressableError:
+            assert c == 0, rows
+        else:
+            assert c >= 1, rows
+
+
+def _cups_by_definition(n):
+    """Rows of the masks with one successful sequence that the order
+    1..n presses empty, checked by replay."""
+    labels = tuple(range(1, n + 1))
+    cups = []
+    for c, rows in generate._counts(n, 0, _masks(n)):
+        if c != 1:
+            continue
+        try:
+            final = PseudoGraph._from_rows(labels, rows)._replay(labels)[-1]
+        except InvalidPressError:
+            continue
+        if not any(final.rows):
+            cups.append(rows)
+    return sorted(cups)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_generate_misses_no_cup(n):
+    """generate_cup(n) lists every graph whose one successful sequence
+    is 1..n, against the definition, not the extension maps."""
+    assert _cups_by_definition(n) == sorted(g.rows for g in generate_cup(n))
+
+
+@pytest.mark.slow
+def test_generate_misses_no_cup_at_six():
+    assert _cups_by_definition(6) == sorted(g.rows for g in generate_cup(6))
 
 
 def test_generated_graphs_are_uniquely_pressable_bruteforce():
