@@ -29,9 +29,8 @@ from .gf2 import BitMatrix, _echo
 from .graphs import (
     InvalidPressError,
     PseudoGraph,
-    _detect_format,
-    _parse_graph,
     _parse_matrix,
+    _read,
     parse_auto,
     parse_graph,
 )
@@ -188,10 +187,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
 
 
 def _cmd_convert(args: argparse.Namespace) -> int:
-    text = _read_input(args.input)
-    lines = text.splitlines()
-    src = _detect_format(lines)
-    g = _parse_matrix(text) if src == "matrix" else _parse_graph(lines)
+    g, src = _read(_read_input(args.input))
     target = args.format or ("matrix" if src == "graph" else "graph")
     if args.dot:
         _write_dot(args.dot, g)

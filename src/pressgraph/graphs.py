@@ -90,13 +90,10 @@ class PseudoGraph(_Record):
 
     def __init__(self, labels: Iterable[int], edges: Iterable[Edge]) -> None:
         labels = tuple(labels)
-        prev = 0
-        for lab in labels:
-            if lab <= prev:
-                raise ValueError(
-                    "labels must be strictly increasing positive integers"
-                )
-            prev = lab
+        if not _increasing(labels):
+            raise ValueError(
+                "labels must be strictly increasing positive integers"
+            )
         pos = {lab: i for i, lab in enumerate(labels)}
         rows = [0] * len(labels)
         for u, v in edges:
@@ -281,6 +278,11 @@ class PseudoGraph(_Record):
         return "\n".join(lines) + "\n"
 
 
+def _increasing(labels: tuple[int, ...]) -> bool:
+    """True when the labels are strictly increasing positive integers."""
+    return all(a < b for a, b in zip((0,) + labels, labels))
+
+
 def _reach(rows: Sequence[int], comp: int) -> int:
     """Bitmask of the vertices connected to the vertex set ``comp``."""
     frontier = comp
@@ -351,7 +353,7 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
         labels = tuple(int(t) for t in label_tokens)
     except ValueError:
         raise GraphFormatError("line 2: labels must be integers") from None
-    if not all(a < b for a, b in zip((0,) + labels, labels)):
+    if not _increasing(labels):
         raise GraphFormatError(
             "line 2: labels must be strictly increasing positive integers"
         )
@@ -401,11 +403,12 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
 def detect_format(text: str) -> str:
     """Classify text as "graph" or "matrix" by its second line.
 
-    A second line of exactly n space-separated integers reads as a label
-    line; a single n-character 0/1 token reads as a matrix row.  The
-    one-vertex file "1\\n1" is valid under both readings and resolves to
-    the graph reading (one vertex, no loop).  Unparseable text counts as
-    "graph" so its diagnostics name the graph grammar.
+    A second line that is a single n-character 0/1 token reads as a
+    matrix row, and anything else as graph text.  Only at n = 1 can that
+    token also be a label: the file "1\\n1" resolves to the graph reading
+    (one vertex, no loop), while "1\\n0" cannot be graph text, since
+    labels are positive, and reads as the 1x1 zero matrix.  Unparseable
+    text counts as "graph" so its diagnostics name the graph grammar.
     """
     return _detect_format(text.splitlines())
 
@@ -415,16 +418,10 @@ def _detect_format(lines: list[str]) -> str:
         n = _parse_count(lines)
     except GraphFormatError:
         return "graph"
-    if n == 0:
-        return "graph"
     second = lines[1].split() if len(lines) > 1 else []
-    graph_like = len(second) == n and all(
-        t.lstrip("-").isdigit() for t in second
-    )
-    if graph_like:
-        return "graph"
     matrix_like = (
-        len(second) == 1
+        second != ["1"]
+        and len(second) == 1
         and len(second[0]) == n
         and all(c in "01" for c in second[0])
     )
@@ -437,7 +434,13 @@ def parse_auto(text: str) -> PseudoGraph:
     Format chosen per detect_format; matrix input becomes the graph of
     its (symmetric) adjacency matrix on labels 1..n.
     """
+    return _read(text)[0]
+
+
+def _read(text: str) -> tuple[PseudoGraph, str]:
+    """The graph of graph or matrix text, and the format it was read in."""
     lines = text.splitlines()
-    if _detect_format(lines) == "matrix":
-        return _parse_matrix(text)
-    return _parse_graph(lines)
+    fmt = _detect_format(lines)
+    if fmt == "matrix":
+        return _parse_matrix(text), fmt
+    return _parse_graph(lines), fmt

@@ -825,12 +825,31 @@ def test_usage_errors():
 
 
 def test_package_exports_the_modules_public_names():
-    """pressgraph.__all__ is built from each module's own __all__; every
-    name in it is bound in the package, and none is listed twice."""
+    """pressgraph.__all__ is built from each module's own __all__, in
+    module order; every name in it is bound in the package to the
+    module's own object, none is listed twice, and the package binds
+    no other name apart from dunders and its submodules."""
+    modules = [
+        pressgraph.gf2,
+        pressgraph.graphs,
+        pressgraph.cholesky,
+        pressgraph.recognition,
+        pressgraph.generate,
+    ]
     names = pressgraph.__all__
+    assert names == ["__version__", *(n for m in modules for n in m.__all__)]
     assert len(set(names)) == len(names)
-    assert all(hasattr(pressgraph, name) for name in names)
     assert {"recognize", "census", "BitMatrix", "Edge"} <= set(names)
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(pressgraph, name) is getattr(m, name)
+    others = {
+        key
+        for key, value in vars(pressgraph).items()
+        if not key.startswith("__")
+        and getattr(value, "__name__", None) != f"pressgraph.{key}"
+    }
+    assert others == set(names) - {"__version__"}
 
 
 def test_outputs_are_stable_across_runs():
