@@ -6,9 +6,9 @@ formats byte for byte, and nothing here is randomized, so outputs are
 stable across runs.
 
 Exit status contract: 0 on success (recognize: verdict yes); 1 when the
-pressing dynamics refuse the request (verdict no, invalid press,
-unpressable graph); 2 for malformed input, usage errors, or an exceeded
-oracle bound.
+pressing dynamics refuse the request (verdict no, an invalid press, a
+graph that root cannot press in vertex order); 2 for malformed input,
+usage errors, or an exceeded oracle bound.
 """
 
 from __future__ import annotations
@@ -17,23 +17,10 @@ import argparse
 import sys
 from functools import cache
 
-from .cholesky import NotOrderPressableError, UnpressableError, _root_rows
-from .generate import (
-    NotUniquelyPressableError,
-    _cups,
-    census,
-    cup_count,
-    total_count,
-)
+from .cholesky import NotOrderPressableError, _root_rows
+from .generate import _cups, census, cup_count, total_count
 from .gf2 import BitMatrix, _echo
-from .graphs import (
-    InvalidPressError,
-    PseudoGraph,
-    _parse_matrix,
-    _read,
-    parse_auto,
-    parse_graph,
-)
+from .graphs import InvalidPressError, PseudoGraph, _read, parse_auto
 from .recognition import (
     OracleBoundError,
     count_sequences_bruteforce,
@@ -55,7 +42,7 @@ ORACLE_MAX_N = 16
 """Largest n recognize --oracle-bound counts, whatever the flag says.
 
 The brute-force memo holds up to 2^n states: 16 looped isolated
-vertices take about 1.4 s and 29 MiB, and each two more vertices cost
+vertices take about 1.5 s and 32 MiB, and each two more vertices cost
 about 5 times as much.
 """
 
@@ -68,11 +55,7 @@ def _read_input(path: str) -> str:
 
 
 def _load_graph(text: str, fmt: str | None) -> PseudoGraph:
-    if fmt == "graph":
-        return parse_graph(text)
-    if fmt == "matrix":
-        return _parse_matrix(text)
-    return parse_auto(text)
+    return _read(text, fmt)[0] if fmt else parse_auto(text)
 
 
 def _to_dot(g: PseudoGraph) -> str:
@@ -300,12 +283,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (
-        InvalidPressError,
-        UnpressableError,
-        NotOrderPressableError,
-        NotUniquelyPressableError,
-    ) as exc:
+    except (InvalidPressError, NotOrderPressableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

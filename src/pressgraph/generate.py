@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from operator import getitem, or_
 
 from .gf2 import _Record, _press, iter_support
-from .graphs import PseudoGraph
+from .graphs import PseudoGraph, _increasing
 from .recognition import OracleBoundError, _decide
 
 __all__ = [
@@ -55,11 +55,6 @@ def _is_cup_form(rows: Sequence[int]) -> bool:
     """True when rows on labels 1..n are pressed uniquely in that order."""
     reason, _, order, _ = _decide(rows)
     return bool(rows) and reason is None and order == list(range(len(rows)))
-
-
-def _looped(rows: Sequence[int]) -> int:
-    """Bitmask of the looped vertices of symmetric rows."""
-    return sum(1 << i for i, r in enumerate(rows) if r >> i & 1)
 
 
 def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
@@ -91,7 +86,10 @@ def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
 def shift_labels(g: PseudoGraph, offset: int = 1) -> PseudoGraph:
     """Relabel every vertex by adding offset (labels must stay positive)."""
     labels = tuple(lab + offset for lab in g.labels)
-    PseudoGraph(labels, ())  # rejects a label <= 0
+    if not _increasing(labels):
+        raise ValueError(
+            "labels must be strictly increasing positive integers"
+        )
     return PseudoGraph._from_rows(labels, g.rows)
 
 
@@ -102,15 +100,10 @@ def extend_right(g: PseudoGraph, check: bool = True) -> PseudoGraph:
     loop exactly when n is even.  With check=True the input must be a
     cup graph, which guarantees the output is one too.
     """
-    n = g.n
-    if g.labels != tuple(range(1, n + 1)):
-        raise ValueError("labels must be 1..n")
-    if check and not _is_cup_form(g.rows):
-        raise NotUniquelyPressableError(
-            "input is not a canonically labeled uniquely pressable graph"
-        )
-    rows, _ = _extend(list(g.rows), _looped(g.rows), "R")
-    return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)
+    return _extend_checked(
+        g, check, "R", 1, "labels must be 1..n",
+        "input is not a canonically labeled uniquely pressable graph",
+    )
 
 
 def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
@@ -122,15 +115,24 @@ def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
     the result restores g, so the new vertex is pressed first.  With
     check=True the input, shifted back down, must be a cup graph.
     """
+    return _extend_checked(
+        g, check, "L", 2, "labels must be 2..n+1",
+        "input is not a shifted canonically labeled uniquely pressable graph",
+    )
+
+
+def _extend_checked(
+    g: PseudoGraph, check: bool, c: str, first: int, label_error: str,
+    cup_error: str,
+) -> PseudoGraph:
+    """Map c on g, whose labels must start at first, onto labels 1..n+1."""
     n = g.n
-    if g.labels != tuple(range(2, n + 2)):
-        raise ValueError("labels must be 2..n+1")
+    if g.labels != tuple(range(first, first + n)):
+        raise ValueError(label_error)
     if check and not _is_cup_form(g.rows):
-        raise NotUniquelyPressableError(
-            "input is not a shifted canonically labeled uniquely "
-            "pressable graph"
-        )
-    rows, _ = _extend(list(g.rows), _looped(g.rows), "L")
+        raise NotUniquelyPressableError(cup_error)
+    looped = sum(1 << i for i, r in enumerate(g.rows) if r >> i & 1)
+    rows, _ = _extend(list(g.rows), looped, c)
     return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)
 
 
@@ -273,8 +275,8 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     """Isomorphism invariant: minimal packed adjacency over relabelings."""
     n = g.n
     supports = [[j - 1 for j in iter_support(r)] for r in g.rows]
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(n)):
+
+    def relabeled(perm: tuple[int, ...]) -> tuple[int, ...]:
         inv = [0] * n
         for t, s in enumerate(perm):
             inv[s] = t
@@ -284,11 +286,10 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
             for j in supports[s]:
                 bits |= 1 << inv[j]
             cand.append(bits)
-        tup = tuple(cand)
-        if best is None or tup < best:
-            best = tup
-    assert best is not None or n == 0
-    return best if best is not None else ()
+        return tuple(cand)
+
+    # permutations(range(0)) yields one empty tuple, so n = 0 gives ().
+    return min(map(relabeled, itertools.permutations(range(n))))
 
 
 def _drops(n: int) -> list[list[list[int]]]:

@@ -253,26 +253,13 @@ class BitMatrix(_Record):
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
         """Build from a square list-of-lists of 0/1 entries."""
         n = len(rows)
-        packed = []
-        for row in rows:
-            entries = list(row)
-            if len(entries) != n:
-                raise DimensionError("matrix must be square")
-            bits = 0
-            for j, v in enumerate(entries):
-                if v not in (0, 1):
-                    raise ValueError(f"entries must be 0 or 1, got {v!r}")
-                bits |= v << j
-            packed.append(bits)
-        return cls(n, tuple(packed))
+        if any(len(row) != n for row in rows):
+            raise DimensionError("matrix must be square")
+        return cls(n, [BitRow.from_values(row).bits for row in rows])
 
     def bit(self, i: int, j: int) -> int:
         """Entry at 1-based (row, column)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"row {i} outside [1, {self.n}]")
-        if not 1 <= j <= self.n:
-            raise IndexError(f"column {j} outside [1, {self.n}]")
-        return (self.row_bits[i - 1] >> (j - 1)) & 1
+        return self.row(i).bit(j)
 
     def row(self, i: int) -> BitRow:
         if not 1 <= i <= self.n:
@@ -306,9 +293,7 @@ class BitMatrix(_Record):
         return True
 
     def to_dense(self) -> list[list[int]]:
-        return [
-            [(r >> j) & 1 for j in range(self.n)] for r in self.row_bits
-        ]
+        return [BitRow(self.n, r).values() for r in self.row_bits]
 
     def to_text(self) -> str:
         """Serialize to the shared matrix text format.
@@ -347,9 +332,11 @@ class BitMatrix(_Record):
                     f"line {ln}: expected {n} characters from {{0,1}}"
                 )
             rows.append(int(raw[::-1], 2))
-        for extra in lines[n + 1 :]:
+        for ln, extra in enumerate(lines[n + 1 :], n + 2):
             if extra.strip():
-                raise MatrixFormatError("unexpected content after the matrix")
+                raise MatrixFormatError(
+                    f"line {ln}: unexpected content after the matrix"
+                )
         return cls(n, tuple(rows))
 
 

@@ -437,10 +437,10 @@ def parse_auto(text: str) -> PseudoGraph:
     return _read(text)[0]
 
 
-def _read(text: str) -> tuple[PseudoGraph, str]:
-    """The graph of graph or matrix text, and the format it was read in."""
+def _read(text: str, fmt: str | None = None) -> tuple[PseudoGraph, str]:
+    """The graph of text in fmt, by default the detected format, and fmt."""
     lines = text.splitlines()
-    fmt = _detect_format(lines)
+    fmt = fmt or _detect_format(lines)
     if fmt == "matrix":
         return _parse_matrix(text), fmt
     return _parse_graph(lines), fmt

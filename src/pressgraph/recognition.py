@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
+from functools import cache
 from itertools import compress
 from operator import not_
 
@@ -258,21 +259,17 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
             f"graph has {g.n} vertices, oracle bound is {bound}"
         )
     n = g.n
-    memo: dict[tuple[int, ...], int] = {}
 
+    @cache
     def count(state: tuple[int, ...]) -> int:
         if not any(state):
             return 1
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
         total = 0
         for v in range(n):
             if (state[v] >> v) & 1:
                 nxt = list(state)
                 _press(nxt, v, range(n))
                 total += count(tuple(nxt))
-        memo[state] = total
         return total
 
     return count(g.rows)

@@ -8,6 +8,7 @@ cross-checks.
 import io
 import itertools
 import os
+import re
 import sys
 import contextlib
 
@@ -194,6 +195,11 @@ def dense_det2(rows):
     return 1
 
 
+def exactly(message):
+    """A pytest.raises pattern that matches the message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
 def quoted(text):
     """An input as error messages quote it: whole up to 80 characters,
     else its first 80 characters, an ellipsis and its length."""
@@ -354,9 +360,11 @@ def reference_matrix_from_text(text):
             if c == "1":
                 bits |= 1 << j
         rows.append(bits)
-    for extra in lines[n + 1 :]:
-        if extra.strip():
-            raise MatrixFormatError("unexpected content after the matrix")
+    for idx in range(n + 1, len(lines)):
+        if lines[idx].strip():
+            raise MatrixFormatError(
+                f"line {idx + 1}: unexpected content after the matrix"
+            )
     return BitMatrix(n, tuple(rows))
 
 

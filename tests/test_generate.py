@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    exactly,
     reference_extend_left,
     reference_extend_right,
     reference_generate_cup,
@@ -81,16 +82,27 @@ def test_extensions_commute_on_even_sizes():
 
 
 def test_extend_label_validation():
-    with pytest.raises(ValueError, match="1..n"):
+    with pytest.raises(ValueError, match=exactly("labels must be 1..n")):
         extend_right(PseudoGraph((2, 3), frozenset({(2, 2), (2, 3)})))
-    with pytest.raises(ValueError, match="2..n"):
+    with pytest.raises(ValueError, match=exactly("labels must be 2..n+1")):
         extend_left(K1_LOOP)
 
 
 def test_extend_rejects_non_unique_inputs(cup2):
-    with pytest.raises(NotUniquelyPressableError):
+    with pytest.raises(
+        NotUniquelyPressableError,
+        match=exactly(
+            "input is not a canonically labeled uniquely pressable graph"
+        ),
+    ):
         extend_right(PseudoGraph((1, 2), frozenset({(1, 2)})))
-    with pytest.raises(NotUniquelyPressableError):
+    with pytest.raises(
+        NotUniquelyPressableError,
+        match=exactly(
+            "input is not a shifted canonically labeled uniquely "
+            "pressable graph"
+        ),
+    ):
         extend_left(PseudoGraph((2, 3), frozenset({(2, 3)})))
     # check=False skips the guard entirely
     out = extend_right(PseudoGraph((1, 2), frozenset({(1, 2)})), check=False)
@@ -121,7 +133,10 @@ def test_shift_labels(cup2):
     assert shift_labels(cup2).edges == frozenset({(2, 2), (2, 3)})
     assert shift_labels(cup2, offset=10).labels == (11, 12)
     assert shift_labels(shift_labels(cup2), offset=-1) == cup2
-    with pytest.raises(ValueError, match="positive integers"):
+    with pytest.raises(
+        ValueError,
+        match=exactly("labels must be strictly increasing positive integers"),
+    ):
         shift_labels(cup2, offset=-1)
 
 

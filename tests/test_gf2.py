@@ -30,6 +30,7 @@ from pressgraph import (
 from pressgraph.gf2 import _eliminate, _press
 from conftest import (
     dense_det2,
+    exactly,
     reference_matrix_from_text,
     reference_transpose_rows,
 )
@@ -139,12 +140,16 @@ def test_matrix_validation():
         BitMatrix(2, (0,))
     with pytest.raises(ValueError):
         BitMatrix(2, (0b100, 0))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match=exactly("matrix must be square")):
         BitMatrix.from_rows([[0, 1], [1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(
+        ValueError, match=exactly("entries must be 0 or 1, got 2")
+    ):
         BitMatrix.from_rows([[2]])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match=exactly("row 3 outside [1, 2]")):
         BitMatrix.identity(2).bit(3, 1)
+    with pytest.raises(IndexError, match=exactly("column 3 outside [1, 2]")):
+        BitMatrix.identity(2).bit(1, 3)
     with pytest.raises(IndexError):
         BitMatrix.identity(2).row(0)
     with pytest.raises(IndexError):
@@ -173,7 +178,7 @@ def test_matrix_text_round_trip(example5):
         ("2\n10\n", "line 3"),
         ("2\n10\n012\n", "line 3"),
         ("1\n2\n", "line 2"),
-        ("1\n1\n\nleftover\n", "after the matrix"),
+        ("1\n1\n\nleftover\n", "line 4: unexpected content after the matrix"),
     ],
 )
 def test_matrix_parse_errors_name_the_line(text, fragment):
