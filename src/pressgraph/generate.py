@@ -24,9 +24,9 @@ from __future__ import annotations
 import itertools
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from operator import getitem, or_
+from operator import itemgetter, or_, xor
 
-from .gf2 import _Record, _press, iter_support
+from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph, _increasing
 from .recognition import OracleBoundError, _decide
 
@@ -256,18 +256,28 @@ def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
     return tables
 
 
+def _rows_of(
+    tables: list[list[tuple[int, ...]]], mask: int
+) -> tuple[int, ...]:
+    """The rows of one pair-mask, from its byte tables (_pair_tables)."""
+    first, *rest = tables
+    rows = first[mask & 255]
+    for table in rest:
+        mask >>= 8
+        rows = tuple(map(or_, rows, table[mask & 255]))
+    return rows
+
+
 def _mask_rows(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
     """The rows of the graphs with pair-mask in [lo, hi), in order."""
-    low, *high = _pair_tables(n)
+    tables = _pair_tables(n)
+    low = tables[0]
     base_of = None
     for mask in range(lo, hi):
         # The bytes above the lowest change once per 256 masks.
         if mask >> 8 != base_of:
-            base_of = m = mask >> 8
-            base = (0,) * n
-            for table in high:
-                base = tuple(map(or_, base, table[m & 255]))
-                m >>= 8
+            base_of = mask >> 8
+            base = _rows_of(tables, base_of << 8)
         yield tuple(map(or_, base, low[mask & 255]))
 
 
@@ -292,58 +302,98 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     return min(map(relabeled, itertools.permutations(range(n))))
 
 
-def _drops(n: int) -> list[list[list[int]]]:
-    """Squeeze tables from n-vertex rows to (n - 1)-vertex pair-masks.
-
-    drop[v][u][r] is the part of the pair-mask of G - v that row u adds
-    when it holds r: bit j >= u of r, j != v, is the pair of indices u
-    and j, each moved down by one when above v.  Row v adds nothing.
-    """
-    index = {pair: 1 << t for t, pair in enumerate(_pairs(n - 1))}
-    drop = []
-    for v in range(n):
-        per_row = []
-        for u in range(n):
-            bits = [
-                index[u - (u > v) + 1, j - (j > v) + 1]
-                if u != v and j != v and j >= u else 0
-                for j in range(n)
-            ]
-            per_row.append([
-                sum(b for j, b in enumerate(bits) if r >> j & 1)
-                for r in range(1 << n)
-            ])
-        drop.append(per_row)
-    return drop
+# Pair-masks per block of _counts: each block costs one C-level gather
+# per looped vertex, so the interpreter's share per mask is about 1/1024.
+_BLOCK_BITS = 10
+# Caps a byte of summed counts at 2.
+_CAP = bytes(min(c, 2) for c in range(256))
 
 
-def _counts(n: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """c(G) capped at 2, and G's rows, for each pair-mask in [lo, hi).
+def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
+    """c(G) capped at 2 for each pair-mask in [lo, hi), in blocks.
 
     c(G) is the number of successful pressing sequences of G, from the
     definition: 1 for the edgeless graph, else the sum over looped v of
-    c(G_v), where G_v is G pressed at v with v deleted.  A press leaves
-    v isolated, so c(G_v) is one lookup in the capped table of every
-    (n - 1)-vertex pair-mask, which is built first, the same way.
+    c(G_v), where G_v is G pressed at v with v deleted.  The blocks hold
+    one byte per mask, in mask order, each at most 2^_BLOCK_BITS masks
+    and aligned to that size except where lo or hi cuts one.
+
+    The press at v toggles every pair inside N(v), loops included, and
+    leaves v isolated, so the (n - 1)-vertex pair-mask of G_v is the
+    mask of G - v XOR the mask of all pairs inside N(v) - v.  This is a
+    second form of the press, on pair-masks, beside gf2._press on rows;
+    the tests check the one against the other.  For each v, every bit
+    of G's mask is a pair of G - v, a vertex of N(v) - v or v's loop;
+    packed into one int, with a flag that v's loop clears, the parts of
+    G's bits XOR to the mask of G - v, the flag and N(v) - v.  So over
+    a block of masks that share their high bits, the index of G_v in
+    the table of the level below is one row, fixed by the high part of
+    N(v) - v, XOR one number d; the flag of an unlooped v indexes a
+    zero half appended to that table.  The table of the level below is
+    built the same way, upward from n = 0; the level-n masks are
+    streamed.
     """
-    below = b""
-    if n:
-        masks = 1 << len(_pairs(n - 1))
-        below = bytearray(c for c, _ in _counts(n - 1, 0, masks))
-    drop = _drops(n)
-    verts = range(n)
-    for rows in _mask_rows(n, lo, hi):
-        total = 0 if any(rows) else 1
-        for v in verts:
-            if rows[v] >> v & 1:
-                pressed = list(rows)
-                _press(pressed, v, verts)
-                total += below[sum(map(getitem, drop[v], pressed))]
-                if total >= 2:
-                    # A sum of 1 + 2 would otherwise store 3.
-                    total = 2
-                    break
-        yield total, rows
+    if n == 0:
+        yield b"\x01"[lo:hi]
+        return
+    pairs = _pairs(n)
+    index = {pair: 1 << t for t, pair in enumerate(_pairs(n - 1))}
+    # A packed part: a mask below flag, the flag, then N(v) - v from
+    # bit shift up; the bits below shift index the table below.
+    flag = 1 << len(index)
+    shift = len(index) + 1
+    in_below = (1 << shift) - 1
+    below = b"".join(_counts(n - 1, 0, flag)) + bytes(flag)
+    # clique[S]: the mask of all pairs inside S, loops included.
+    clique = [
+        sum(index[i, j] for i in iter_support(s) for j in iter_support(s)
+            if i <= j)
+        for s in range(1 << (n - 1))
+    ]
+    k = min(_BLOCK_BITS, len(pairs))
+    size = 1 << k
+    vertices = []
+    for v in range(1, n + 1):
+        parts = []
+        for i, j in pairs:
+            if i == j == v:
+                parts.append(flag)
+            elif v in (i, j):
+                u = i + j - v
+                parts.append(1 << shift + u - 1 - (u > v))
+            else:
+                parts.append(index[i - (i > v), j - (j > v)])
+        # low[L]: the XOR of the parts of the bits set in L, and flag.
+        low = [flag]
+        for part in parts[:k]:
+            low += [x ^ part for x in low]
+        vertices.append((
+            [x & in_below for x in low], [x >> shift for x in low],
+            parts[k:], pairs.index((v, v)), {},
+        ))
+    for base in range(lo - lo % size, hi, size):
+        total = int(base == 0)
+        for low_index, low_set, high, loop, by_set in vertices:
+            if loop >= k and not base >> loop & 1:
+                continue  # v is unlooped on the whole block
+            d = 0
+            for t in iter_support(base >> k):
+                d ^= high[t - 1]
+            s = d >> shift
+            row = by_set.get(s)
+            if row is None:
+                sets = map(or_, low_set, itertools.repeat(s))
+                row = by_set[s] = list(
+                    map(xor, low_index, map(clique.__getitem__, sets))
+                )
+            d &= in_below
+            counts = itemgetter(*map(xor, row, itertools.repeat(d)))(below)
+            # Each count is at most 2, so n of them never carry for n <= 127.
+            total += int.from_bytes(bytes(counts), "little")
+        # A block that lo or hi cuts is counted whole, then cut.
+        yield total.to_bytes(size, "little").translate(_CAP)[
+            max(lo - base, 0):hi - base
+        ]
 
 
 class CensusResult(_Record):
@@ -377,25 +427,33 @@ class CensusResult(_Record):
 def _census_range(args: tuple[int, int, int]) -> tuple[int, set]:
     """Count the pair-masks in [lo, hi) with one successful sequence.
 
-    The count comes from the definition (_counts); only those graphs
-    reach the recognizer core, which must say yes on each, for its
-    class key: the root column weights w, the padding being n - len(w).
+    The count comes from the definition (_counts), streamed in blocks,
+    and only the masks with c = 1 have their rows built: they reach the
+    recognizer core, which must say yes on each, for its class key: the
+    root column weights w, the padding being n - len(w).
     By property 1 the ones of column j are rows j - w_j + 1 .. j, so w
     fixes the root U and with it A = U^T U in press order; and an
     isomorphism between yes graphs carries one unique sequence onto the
     other, so two share a key exactly when they are isomorphic.
     """
-    keys = []
-    for c, rows in _counts(*args):
-        if c == 1:
+    n, lo, hi = args
+    tables = _pair_tables(n)
+    count, keys = 0, set()
+    for block in _counts(n, lo, hi):
+        at = block.find(1)
+        while at >= 0:
+            rows = _rows_of(tables, lo + at)
             reason, _, _, weights = _decide(rows)
             if reason is not None:
                 raise RuntimeError(
                     f"recognizer says {reason} on rows {rows}, which have "
                     "exactly one successful pressing sequence"
                 )
-            keys.append(weights)
-    return len(keys), set(keys)
+            count += 1
+            keys.add(weights)
+            at = block.find(1, at + 1)
+        lo += len(block)
+    return count, keys
 
 
 def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:

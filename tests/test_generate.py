@@ -453,9 +453,10 @@ def test_census_chunks_clamp_the_worker_count(monkeypatch, n, jobs, cpus):
     assert all(c[0] == n and c[1] < c[2] for c in chunks)
 
 
-def test_census_pool_never_exceeds_the_masks(monkeypatch):
-    """census 1 --jobs 1000 has two masks, so at most two workers; a
-    stand-in pool records the size asked for and starts no process."""
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """multiprocessing.Pool replaced by a stand-in that maps in this
+    process, so no worker starts; returns the pool sizes asked for."""
     sizes = []
 
     class InlinePool:
@@ -472,10 +473,38 @@ def test_census_pool_never_exceeds_the_masks(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    return sizes
+
+
+def test_census_pool_never_exceeds_the_masks(monkeypatch, inline_pool):
+    """census 1 --jobs 1000 has two masks, so at most two workers."""
     monkeypatch.setattr(generate.os, "cpu_count", lambda: 64)
     assert census(1, jobs=1000) == census(1)
     assert census(2, jobs=1000) == census(2)
-    assert sizes == [2, 8]
+    assert inline_pool == [2, 8]
+
+
+def test_census_three_jobs_agree_at_five(monkeypatch, inline_pool):
+    """Three workers on four CPUs cut the masks at 10923 and 21846, off
+    every block boundary of the count table."""
+    monkeypatch.setattr(generate.os, "cpu_count", lambda: 4)
+    assert census(5, jobs=3) == census(5)
+    assert inline_pool == [3]
+
+
+@pytest.mark.parametrize("cuts", [(1,), (1000,), (1025,), (16383,),
+                                  (1, 1000, 1025, 16383)])
+def test_census_range_adds_up_over_any_cut(cuts):
+    """Ranges cut at offsets off the block boundaries of the count table
+    add up to the whole range's count and key set at n = 5."""
+    bounds = [0, *cuts, _masks(5)]
+    parts = [
+        generate._census_range((5, lo, hi))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    whole = generate._census_range((5, 0, _masks(5)))
+    assert sum(count for count, _ in parts) == whole[0] == 1226
+    assert set().union(*(keys for _, keys in parts)) == whole[1]
 
 
 def test_census_runs_the_recognizer_on_the_yes_masks_only(monkeypatch):
@@ -520,6 +549,15 @@ def _masks(n):
     return 2 ** (n * (n + 1) // 2)
 
 
+def _counted(n, lo=0, hi=None):
+    """(c, rows) for each mask in [lo, hi): the count table's byte
+    beside the rows that _mask_rows builds for the same mask."""
+    hi = _masks(n) if hi is None else hi
+    table = b"".join(generate._counts(n, lo, hi))
+    assert len(table) == hi - lo
+    return zip(table, generate._mask_rows(n, lo, hi))
+
+
 def _uncapped_counts(n):
     """Successful sequences of every n-vertex graph, keyed by its rows:
     1 for the edgeless graph, else the sum over looped v of the count
@@ -550,15 +588,26 @@ def test_counts_are_the_capped_bruteforce_counts(n):
     mask with n <= 4; _counts is that count capped at 2."""
     uncapped = _uncapped_counts(n)
     labels = tuple(range(1, n + 1))
-    for c, rows in generate._counts(n, 0, _masks(n)):
+    for c, rows in _counted(n):
         g = PseudoGraph._from_rows(labels, rows)
         assert uncapped[rows] == count_sequences_bruteforce(g)
         assert c == min(uncapped[rows], 2)
 
 
-def _counts_agree_with_decide(n):
-    for c, rows in generate._counts(n, 0, _masks(n)):
+def _counts_agree_with_decide(n, lo=0, hi=None):
+    for c, rows in _counted(n, lo, hi):
         assert (c == 1) == (recognition._decide(rows)[0] is None), rows
+
+
+def _counts_agree_with_pressing_length(n, lo=0, hi=None):
+    labels = tuple(range(1, n + 1))
+    for c, rows in _counted(n, lo, hi):
+        try:
+            pressing_length(PseudoGraph._from_rows(labels, rows))
+        except UnpressableError:
+            assert c == 0, rows
+        else:
+            assert c >= 1, rows
 
 
 @pytest.mark.parametrize("n", range(6))
@@ -574,18 +623,40 @@ def test_counts_agree_with_decide_at_six():
     _counts_agree_with_decide(6)
 
 
+@pytest.mark.slow
+def test_counts_agree_with_decide_and_pressing_length_on_slices_of_seven():
+    """On three seeded 4096-mask slices of level 7, one of them off the
+    block boundaries, c = 1 exactly when the recognizer says yes and
+    c >= 1 exactly when pressing_length finds the graph pressable: the
+    only check on _decide's no verdicts past n = 6."""
+    rng = random.Random(7)
+    starts = [rng.randrange(_masks(7) >> 12) << 12 for _ in range(2)]
+    # A mask below 2^16 sets only pairs that meet vertex 1, 2 or 3, so
+    # c = 0 and c = 1 are common there; almost all others have c = 2.
+    starts.append(rng.randrange(1 << 16) | 1)
+    for lo in starts:
+        _counts_agree_with_decide(7, lo, lo + 4096)
+        _counts_agree_with_pressing_length(7, lo, lo + 4096)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0, 1), (1, 1000), (1000, 1025), (1023, 1025), (1025, 16383),
+    (16383, 32768), (5, 5), (0, 32768),
+])
+def test_counts_stream_any_range_in_bounded_blocks(lo, hi):
+    """Any range of level 5, cut off the block boundaries or not, is
+    that slice of the whole table, in blocks of at most 1024 masks."""
+    whole = b"".join(generate._counts(5, 0, _masks(5)))
+    blocks = list(generate._counts(5, lo, hi))
+    assert b"".join(blocks) == whole[lo:hi]
+    assert all(len(block) <= 1 << generate._BLOCK_BITS for block in blocks)
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_counts_are_nonzero_exactly_on_the_pressable_graphs(n):
     """c >= 1 iff every nontrivial component has a looped vertex
     (Cooper and Davis), the test pressing_length makes."""
-    labels = tuple(range(1, n + 1))
-    for c, rows in generate._counts(n, 0, _masks(n)):
-        try:
-            pressing_length(PseudoGraph._from_rows(labels, rows))
-        except UnpressableError:
-            assert c == 0, rows
-        else:
-            assert c >= 1, rows
+    _counts_agree_with_pressing_length(n)
 
 
 def _cups_by_definition(n):
@@ -593,7 +664,7 @@ def _cups_by_definition(n):
     1..n presses empty, checked by replay."""
     labels = tuple(range(1, n + 1))
     cups = []
-    for c, rows in generate._counts(n, 0, _masks(n)):
+    for c, rows in _counted(n):
         if c != 1:
             continue
         try:
