@@ -17,8 +17,9 @@ non-uniqueness; the order records where the first one happened.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from itertools import compress
 
-from .gf2 import BitMatrix, _eliminate, _press, _Record, iter_support
+from .gf2 import BitMatrix, _eliminate, _lanes, _press, _Record, iter_support
 from .graphs import PseudoGraph, _reach
 
 __all__ = [
@@ -160,6 +161,12 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     nonzero.  ``alive`` is nonempty after a stall, or after
     ``stop_at_tie`` stopped the loop at ``first_tie``, before pressing.
 
+    The scan reads only the looped rows, off the mask ``looped`` of
+    diagonal bits, kept as ``looped ^= pivot`` after each press.  That
+    is exact: a press of p XORs the pivot into the rows holding bit p,
+    which by symmetry are the rows i whose bit the pivot holds, so
+    each of their diagonals flips, row p's included, and no other.
+
     With no tie and no stall, every nonzero row was pressed.  With no
     stall every row ends at zero.  A row changes only when a pivot whose
     bit it holds is XORed into it, and a press keeps the rows symmetric.
@@ -168,32 +175,33 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     bit v, so row v held bit v: v was looped with the degree of p, the
     maximum, and the scan tied.
     """
-    n = len(rows)
+    index = range(len(rows))
     rows = list(rows)
-    bits = [1 << i for i in range(n)]
     order: list[int] = []
     pivots: list[int] = []
     first_tie: int | None = None
-    alive = [i for i in range(n) if rows[i]]
-    while alive:
-        best = -1
-        best_deg = 0
-        tied = False
-        for i in alive:
-            r = rows[i]
-            if r & bits[i]:
-                d = r.bit_count()
+    looped = sum(r & 1 << i for i, r in enumerate(rows))
+    while looped:
+        if not looped & looped - 1:
+            # One looped row, so no tie: most steps on census-sized
+            # graphs, where the scan's set-up would cost the most.
+            best = looped.bit_length() - 1
+        else:
+            best_deg = 0
+            tied = False
+            for i in compress(index, _lanes(looped)):
+                d = rows[i].bit_count()
                 if d > best_deg:
                     best, best_deg, tied = i, d, False
                 elif d == best_deg:
                     tied = True
-        if best < 0:
-            break
-        if tied and first_tie is None:
-            first_tie = len(order) + 1
-            if stop_at_tie:
-                break
+            if tied and first_tie is None:
+                first_tie = len(order) + 1
+                if stop_at_tie:
+                    break
+        pivot = rows[best]
         order.append(best)
-        pivots.append(rows[best])
-        alive = _press(rows, best, alive)
-    return order, pivots, first_tie, rows, alive
+        pivots.append(pivot)
+        _press(rows, best)
+        looped ^= pivot
+    return order, pivots, first_tie, rows, list(compress(index, rows))

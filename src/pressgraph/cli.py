@@ -42,7 +42,7 @@ ORACLE_MAX_N = 16
 """Largest n recognize --oracle-bound counts, whatever the flag says.
 
 The brute-force memo holds up to 2^n states: 16 looped isolated
-vertices take about 1.5 s and 32 MiB, and each two more vertices cost
+vertices take about 1 s and 33 MiB, and each two more vertices cost
 about 5 times as much.
 """
 

@@ -11,6 +11,7 @@ All indices are 1-based at the public boundary.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import compress
 from operator import attrgetter, xor
 
 __all__ = [
@@ -89,25 +90,34 @@ def iter_support(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _press(rows: list[int], p: int, live: Iterable[int]) -> list[int]:
-    """XOR row ``p`` into every listed row holding bit ``p``, in place.
+_LANES = bytes.maketrans(b"01", b"\0\1")
+_BYTE_LANES = [bin(x)[:1:-1].encode().translate(_LANES) for x in range(256)]
 
-    On symmetric rows this is both a press of looped vertex ``p`` and a
-    GF(2) Cholesky elimination step; row ``p`` holds its own bit, so it
-    is cleared too when listed.  Returns the listed rows still nonzero.
-    It serves the adaptive orders; ``_eliminate`` serves the fixed ones.
+
+def _lanes(x: int) -> bytes:
+    """Byte i is bit i of ``x``, up to its top set bit (one byte if 0).
+
+    Below 256 it is read from a table: on the small graphs of a census
+    the four string passes would cost more than the press they feed.
+    """
+    if x < 256:
+        return _BYTE_LANES[x]
+    return bin(x)[:1:-1].encode().translate(_LANES)
+
+
+def _press(rows: list[int], p: int) -> None:
+    """XOR row ``p`` into every row holding bit ``p``, in place.
+
+    The rows must be symmetric: then the rows holding bit ``p`` are the
+    ones that row ``p``'s bits name, so only those are visited, through
+    one C-level ``compress`` over its lanes.  This is both a press of
+    looped vertex ``p`` and a GF(2) Cholesky elimination step; row
+    ``p`` holds its own bit, so it is cleared too.  It serves the
+    adaptive orders; ``_eliminate`` serves the fixed ones.
     """
     piv = rows[p]
-    bit = 1 << p
-    still = []
-    for i in live:
-        r = rows[i]
-        if r & bit:
-            r ^= piv
-            rows[i] = r
-        if r:
-            still.append(i)
-    return still
+    for i in compress(range(len(rows)), _lanes(piv)):
+        rows[i] ^= piv
 
 
 def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
@@ -124,7 +134,6 @@ def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
     holding its bit.  That holds for pressed rows, which end at zero,
     and for rows pressed earlier, which are zero and get key 0.
     """
-    lanes = bytes.maketrans(b"01", b"\0\1")
     pivots: list[int] = []
     for start in range(0, len(order), 8):
         block = order[start : start + 8]
@@ -137,8 +146,7 @@ def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
             if not piv >> p & 1:
                 break
             pivots.append(piv)
-            key = bin(piv)[:1:-1].encode().translate(lanes)
-            keys |= int.from_bytes(key, "little") << t
+            keys |= int.from_bytes(_lanes(piv), "little") << t
             table += [x ^ piv for x in table]
         lookup = map(table.__getitem__, keys.to_bytes(len(rows), "little"))
         rows[:] = map(xor, rows, lookup)

@@ -94,14 +94,19 @@ def check_properties(u: BitMatrix) -> PropertyReport:
     """Check the four membership properties of an upper-triangular matrix."""
     if not u.is_upper_triangular():
         raise ValueError("matrix must be upper-triangular")
-    return _check_columns(u.row_bits, range(u.n))
+    fails, weights = _check_columns(u.row_bits, range(u.n))
+    return PropertyReport(*(f is None for f in fails), *fails, weights)
 
 
-def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
+def _check_columns(
+    rows: Sequence[int], order: Sequence[int]
+) -> tuple[tuple[int | None, ...], tuple[int, ...]]:
     """The four column checks on ``rows`` with columns taken in ``order``.
 
     Column j (1-based) is bit ``order[j - 1]`` of every row, and the rows
     must be upper-triangular in that column order, which lists every set bit.
+    Returns ``(failures, weights)``: property N's first witness column,
+    or None, at index N - 1, and the integer column sums.
     """
     n = len(order)
     # One top-down row scan: note the first row holding each column, and
@@ -136,17 +141,7 @@ def _check_columns(rows: Sequence[int], order: Sequence[int]) -> PropertyReport:
     odd = next((j for j in range(1, n) if w[j] & 1), n)
     fail4 = next((t + 1 for t in range(odd, n) if w[t] != t + 1), None)
 
-    return PropertyReport(
-        prop1=fail1 is None,
-        prop2=fail2 is None,
-        prop3=fail3 is None,
-        prop4=fail4 is None,
-        fail1=fail1,
-        fail2=fail2,
-        fail3=fail3,
-        fail4=fail4,
-        column_weights=tuple(w),
-    )
+    return (fail1, fail2, fail3, fail4), tuple(w)
 
 
 class RecognitionReport(_Record):
@@ -240,11 +235,11 @@ def _decide(
     if alive:
         return REASON_UNPRESSABLE, None, order, ()
     # With no tie and no stall every nonzero row was pressed (_greedy).
-    report = _check_columns(pivots, order)
-    failure = report.first_failure()
-    if failure is None:
-        return None, None, order, report.column_weights
-    return f"PROP{failure[0]}", failure[1], order, ()
+    fails, weights = _check_columns(pivots, order)
+    for num, column in enumerate(fails, 1):
+        if column is not None:
+            return f"PROP{num}", column, order, ()
+    return None, None, order, weights
 
 
 def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
@@ -268,7 +263,7 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
         for v in range(n):
             if (state[v] >> v) & 1:
                 nxt = list(state)
-                _press(nxt, v, range(n))
+                _press(nxt, v)
                 total += count(tuple(nxt))
         return total
 

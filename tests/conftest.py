@@ -24,7 +24,6 @@ from pressgraph import (
     iter_support,
 )
 from pressgraph.cli import main as cli_main
-from pressgraph.gf2 import _press
 from pressgraph.graphs import GRAPH_MAX_N, _reach
 
 
@@ -281,24 +280,53 @@ def reference_parse_graph(text):
     return PseudoGraph(labels, frozenset(edges))
 
 
-def reference_find_pressing_order(g, stop_at_tie=False):
-    """The greedy order with its loop inline on the graph.
+def random_symmetric_rows(n, density, rng):
+    """Packed rows of a random graph on n vertices: each pair, loops
+    included, is an edge with probability ``density``."""
+    rows = [0] * n
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() < density:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return rows
 
-    A copy of find_pressing_order from before its loop moved into the
-    bare-row core cholesky._greedy, kept as an oracle for both of the
-    core's modes.  Returns ``(permutation, complete, first_tie,
-    pivot_rows)``: the pressed labels, False only when ``stop_at_tie``
-    stopped it at its first tie, the 1-based step of that tie or None,
-    and each pressed row just before its press.  A stall met before
-    any stop raises UnpressableError with one leftover component.
+
+def reference_press(rows, p, live):
+    """XOR row p into every listed row holding bit p, in place; returns
+    the listed rows still nonzero.
+
+    A copy of gf2._press from before it read the rows to change off the
+    pivot's own bits, kept as an oracle: it tests every listed row's
+    column p, so it needs no symmetry.
     """
-    labels = g.labels
-    n = g.n
-    rows = list(g.rows)
+    piv = rows[p]
+    bit = 1 << p
+    still = []
+    for i in live:
+        r = rows[i]
+        if r & bit:
+            r ^= piv
+            rows[i] = r
+        if r:
+            still.append(i)
+    return still
+
+
+def reference_greedy(rows, stop_at_tie):
+    """The greedy core on bare rows, scanning a list of live rows.
+
+    A copy of cholesky._greedy from before it kept a mask of looped
+    rows and pressed through the pivot's bits, kept as an oracle for
+    both of its modes: the same ``(order, pivots, first_tie, rows,
+    alive)``, pressed by reference_press.
+    """
+    n = len(rows)
+    rows = list(rows)
     bits = [1 << i for i in range(n)]
-    order: list[int] = []
-    pivots: list[int] = []
-    first_tie: int | None = None
+    order = []
+    pivots = []
+    first_tie = None
     alive = [i for i in range(n) if rows[i]]
     while alive:
         best = -1
@@ -317,14 +345,35 @@ def reference_find_pressing_order(g, stop_at_tie=False):
         if tied and first_tie is None:
             first_tie = len(order) + 1
             if stop_at_tie:
-                return tuple(order), False, first_tie, tuple(pivots)
-        order.append(labels[best])
+                break
+        order.append(best)
         pivots.append(rows[best])
-        alive = _press(rows, best, alive)
+        alive = reference_press(rows, best, alive)
+    return order, pivots, first_tie, rows, alive
+
+
+def reference_find_pressing_order(g, stop_at_tie=False):
+    """The greedy order on a graph, through reference_greedy.
+
+    Kept as an oracle for both of cholesky._greedy's modes and for its
+    wrapper find_pressing_order.  Returns ``(permutation, complete,
+    first_tie, pivot_rows)``: the pressed labels, False only when
+    ``stop_at_tie`` stopped it at its first tie, the 1-based step of
+    that tie or None, and each pressed row just before its press.  A
+    stall met before any stop raises UnpressableError with one
+    leftover component.
+    """
+    labels = g.labels
+    order, pivots, first_tie, rows, alive = reference_greedy(
+        g.rows, stop_at_tie
+    )
+    seq = tuple(labels[i] for i in order)
+    if stop_at_tie and first_tie is not None:
+        return seq, False, first_tie, tuple(pivots)
     if alive:
         comp = iter_support(_reach(rows, rows[alive[0]]))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
-    return tuple(order), True, first_tie, tuple(pivots)
+    return seq, True, first_tie, tuple(pivots)
 
 
 def reference_matrix_from_text(text):

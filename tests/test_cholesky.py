@@ -7,7 +7,10 @@ import random
 
 import pytest
 
-from pressgraph import cholesky
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pressgraph import cholesky, generate
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -28,7 +31,9 @@ from pressgraph import (
 from conftest import (
     naive_greedy,
     naive_successful_sequences,
+    random_symmetric_rows,
     reference_find_pressing_order,
+    reference_greedy,
 )
 
 
@@ -363,3 +368,56 @@ def test_greedy_matches_the_inline_reference():
             continue
         assert find_pressing_order(g) == PressingOrder(*want[:3])
     assert kinds == {True, False, "stall"}
+
+
+def test_greedy_equals_the_live_list_greedy_on_every_graph_up_to_five():
+    """_greedy, scanning a loop mask and pressing through the pivot's
+    bits, returns reference_greedy's 5-tuple in both modes on every
+    graph with n <= 5."""
+    for n in range(6):
+        for rows in generate._mask_rows(n, 0, 1 << n * (n + 1) // 2):
+            for stop in (False, True):
+                got = cholesky._greedy(rows, stop)
+                assert got == reference_greedy(rows, stop), (rows, stop)
+
+
+@st.composite
+def _greedy_rows(draw):
+    """Symmetric rows on n <= 64: random at a drawn density, or two
+    mirrored copies of a random graph joined by rungs, which tie at
+    the first step, or a random cup with a few pairs toggled, which
+    ties late or not at all."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(("random", "mirror", "cup")))
+    if kind == "cup":
+        n = draw(st.integers(1, 64))
+        rows = list(random_cup(n, rng).rows)
+        for _ in range(draw(st.integers(0, 2))):
+            u, v = rng.randrange(n), rng.randrange(n)
+            rows[u] ^= 1 << v
+            if u != v:
+                rows[v] ^= 1 << u
+        return rows
+    m = draw(st.integers(1, 32 if kind == "mirror" else 64))
+    density = draw(st.sampled_from((0.05, 0.3, 0.5, 0.9)))
+    half = random_symmetric_rows(m, density, rng)
+    if kind == "random":
+        return half
+    rows = half + [r << m for r in half]
+    for i in range(m):
+        rows[i] |= 1 << i + m
+        rows[i + m] |= 1 << i
+    perm = rng.sample(range(2 * m), 2 * m)
+    moved = [0] * (2 * m)
+    for i, r in enumerate(rows):
+        moved[perm[i]] = sum(1 << perm[j] for j in range(2 * m) if r >> j & 1)
+    return moved
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_greedy_rows())
+def test_greedy_equals_the_live_list_greedy_on_random_rows(rows):
+    """The same on random symmetric rows up to n = 64, mirrored graphs
+    that tie at the first step and nearly cup graphs among them."""
+    for stop in (False, True):
+        assert cholesky._greedy(rows, stop) == reference_greedy(rows, stop)

@@ -14,6 +14,7 @@ from conftest import (
     reference_extend_left,
     reference_extend_right,
     reference_generate_cup,
+    reference_press,
 )
 from pressgraph import generate, recognition
 from pressgraph import (
@@ -41,7 +42,6 @@ from pressgraph import (
     transpose_mul,
     UnpressableError,
 )
-from pressgraph.gf2 import _press
 
 K1_LOOP = PseudoGraph((1,), frozenset({(1, 1)}))
 
@@ -572,7 +572,7 @@ def _uncapped_counts(n):
         for v in range(n):
             if rows[v] >> v & 1:
                 pressed = list(rows)
-                _press(pressed, v, range(n))
+                reference_press(pressed, v, range(n))
                 low = (1 << v) - 1
                 total += below[tuple(
                     r & low | r >> 1 & ~low

@@ -27,11 +27,13 @@ from pressgraph import (
     RecognitionReport,
     transpose_mul,
 )
-from pressgraph.gf2 import _eliminate, _press
+from pressgraph.gf2 import _eliminate, _lanes, _press
 from conftest import (
     dense_det2,
     exactly,
     reference_matrix_from_text,
+    random_symmetric_rows,
+    reference_press,
     reference_transpose_rows,
 )
 
@@ -345,7 +347,7 @@ def _eliminations(draw):
     if stop is not None:
         state = list(rows)
         for p in order:
-            _press(state, p, range(n))
+            reference_press(state, p, range(n))
         loopless = [i for i in range(n) if not state[i] >> i & 1]
         if not loopless:  # stop == 1 and every vertex looped
             loopless = [rng.randrange(n)]
@@ -363,18 +365,52 @@ def _eliminations(draw):
 @given(case=_eliminations())
 def test_eliminate_equals_one_press_at_a_time(case):
     """_eliminate, 8 pivots to a table lookup, gives the pivot rows, the
-    stop and the final rows of _press applied one pivot at a time."""
+    stop and the final rows of reference_press applied one pivot at a
+    time."""
     rows, order, stop = case
     want_rows, want = list(rows), []
     for p in order:
         if not want_rows[p] >> p & 1:
             break
         want.append(want_rows[p])
-        _press(want_rows, p, range(len(rows)))
+        reference_press(want_rows, p, range(len(rows)))
     got_rows = list(rows)
     got = _eliminate(got_rows, order)
     assert (got, got_rows) == (want, want_rows)
     assert len(got) == (len(order) if stop is None else stop - 1)
+
+
+@st.composite
+def _symmetric_rows(draw):
+    """Symmetric rows on n <= 64 at a drawn density, and one index."""
+    n = draw(st.integers(1, 64))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    density = draw(st.sampled_from((0.05, 0.3, 0.5, 0.9)))
+    return random_symmetric_rows(n, density, rng), draw(st.integers(0, n - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_symmetric_rows())
+def test_press_reads_its_rows_off_the_pivot_bits(case):
+    """On symmetric rows, _press, which reads the rows to change off the
+    pivot's bits, gives what reference_press's test of every row's
+    column gives, looped pivot or not."""
+    rows, p = case
+    want = list(rows)
+    reference_press(want, p, range(len(rows)))
+    got = list(rows)
+    assert _press(got, p) is None
+    assert got == want
+
+
+def test_lanes_spell_the_bits_one_byte_each():
+    """Byte i of _lanes(x) is bit i of x, on both sides of its table of
+    the values below 256."""
+    assert _lanes(0) == b"\0"
+    assert _lanes(0b10110) == b"\0\1\1\0\1"
+    rng = random.Random(5)
+    for x in [*range(1, 1024), *(rng.getrandbits(300) for _ in range(20))]:
+        assert _lanes(x) == bytes(x >> i & 1 for i in range(x.bit_length()))
 
 
 def test_principal_submatrix(example5):
