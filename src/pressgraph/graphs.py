@@ -326,17 +326,37 @@ def _parse_count(lines: list[str]) -> int:
     return n
 
 
+def _head(text: str) -> tuple[list[str], int]:
+    """The first two lines of text, as str.splitlines reads them, and
+    the offset where the third begins.
+
+    Only the text up to the second "\\n" is split, and a cut just past a
+    "\\n" breaks no line that the whole text's splitlines() keeps.
+    """
+    end = text.find("\n", text.find("\n") + 1)
+    head = text[: end + 1 if end >= 0 else None].splitlines(True)[:2]
+    return [ln.splitlines()[0] for ln in head], sum(map(len, head))
+
+
+_CHUNK = 1 << 16
+"""Characters of edge text parse_graph reads at a time in the to_text
+layout, cut back to the last line end in them."""
+
+
 def parse_graph(text: str) -> PseudoGraph:
     """Parse one record of the graph text format.
 
     The edge list ends at the first blank line or at end of input;
     anything non-blank after that is rejected.
+
+    The edge lines are read in chunks of whole lines while a chunk is
+    in the layout that ``to_text`` writes, and each chunk costs a few
+    C-level passes.  The first chunk in any other spelling, or with a
+    token that is not a line-2 label, hands the rest of the text to
+    the line loop ``_edge_lines``, which raises every error of the edge
+    lines.
     """
-    return _parse_graph(text.splitlines())
-
-
-def _parse_graph(lines: list[str]) -> PseudoGraph:
-    """parse_graph on the lines of the text, in one pass to packed rows."""
+    lines, pos = _head(text)
     n = _parse_count(lines)
     if n > GRAPH_MAX_N:
         raise GraphFormatError(
@@ -357,21 +377,66 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
         raise GraphFormatError(
             "line 2: labels must be strictly increasing positive integers"
         )
+    # A chunk token spelled as on line 2 is that label, whatever int()
+    # would make of another spelling.
+    index = dict(zip(map(str.encode, label_tokens), range(n)))
+    rows = [0] * n
+    line = 3
+    while True:
+        end = text.rfind("\n", pos, pos + _CHUNK) + 1
+        chunk = text[pos:end]
+        if not chunk or not chunk.isascii():
+            break
+        chunk = chunk.encode()
+        count = chunk.count(b"\n")
+        # With the digits deleted, only " \n" per line is left, so each
+        # line is a digit run, one space and a digit run; 2 tokens a
+        # line then say that no run is empty.
+        if chunk.translate(None, b"0123456789") != b" \n" * count:
+            break
+        tokens = chunk.split()
+        if len(tokens) != 2 * count:
+            break
+        try:
+            idx = list(map(index.__getitem__, tokens))
+        except KeyError:
+            break
+        pairs = iter(idx)
+        for iu, iv in zip(pairs, pairs):
+            rows[iu] |= 1 << iv
+            rows[iv] |= 1 << iu
+        pos = end
+        line += count
+    if pos < len(text):
+        _edge_lines(text[pos:], line, labels, rows)
+    return PseudoGraph._from_rows(labels, rows)
+
+
+def _edge_lines(
+    text: str, line: int, labels: tuple[int, ...], rows: list[int]
+) -> None:
+    """OR the edges of text, whose first line is numbered ``line``,
+    into rows.
+
+    The line loop of parse_graph: it reads every spelling str.split and
+    int() accept, stops at the first blank line, rejects anything
+    non-blank after it, and raises every edge-section GraphFormatError.
+    """
     # Row index of each label, keyed by the label and by its decimal
     # text, so an endpoint written as its label needs no int().
     index = {lab: i for i, lab in enumerate(labels)}
     index.update({str(lab): i for lab, i in index.items()})
-    rows = [0] * n
+    lines = text.splitlines()
     stop = len(lines)
-    for idx in range(2, stop):
-        parts = lines[idx].split()
+    for k, ln in enumerate(lines):
+        parts = ln.split()
         if len(parts) != 2:
             if parts:
                 raise GraphFormatError(
-                    f"line {idx + 1}: expected an edge as 'u v', "
-                    f"got {_echo(lines[idx].strip())}"
+                    f"line {line + k}: expected an edge as 'u v', "
+                    f"got {_echo(ln.strip())}"
                 )
-            stop = idx
+            stop = k
             break
         u, v = parts
         try:
@@ -383,21 +448,20 @@ def _parse_graph(lines: list[str]) -> PseudoGraph:
                 u, v = int(u), int(v)
             except ValueError:
                 raise GraphFormatError(
-                    f"line {idx + 1}: edge endpoints must be integers"
+                    f"line {line + k}: edge endpoints must be integers"
                 ) from None
             if u not in index or v not in index:
                 raise GraphFormatError(
-                    f"line {idx + 1}: edge ({u}, {v}) leaves the graph"
+                    f"line {line + k}: edge ({u}, {v}) leaves the graph"
                 )
             iu, iv = index[u], index[v]
         rows[iu] |= 1 << iv
         rows[iv] |= 1 << iu
-    for idx in range(stop, len(lines)):
-        if lines[idx].strip():
+    for k in range(stop, len(lines)):
+        if lines[k].strip():
             raise GraphFormatError(
-                f"line {idx + 1}: unexpected content after the record"
+                f"line {line + k}: unexpected content after the record"
             )
-    return PseudoGraph._from_rows(labels, rows)
 
 
 def detect_format(text: str) -> str:
@@ -409,11 +473,9 @@ def detect_format(text: str) -> str:
     (one vertex, no loop), while "1\\n0" cannot be graph text, since
     labels are positive, and reads as the 1x1 zero matrix.  Unparseable
     text counts as "graph" so its diagnostics name the graph grammar.
+    Only the first two lines are read.
     """
-    return _detect_format(text.splitlines())
-
-
-def _detect_format(lines: list[str]) -> str:
+    lines = _head(text)[0]
     try:
         n = _parse_count(lines)
     except GraphFormatError:
@@ -439,8 +501,7 @@ def parse_auto(text: str) -> PseudoGraph:
 
 def _read(text: str, fmt: str | None = None) -> tuple[PseudoGraph, str]:
     """The graph of text in fmt, by default the detected format, and fmt."""
-    lines = text.splitlines()
-    fmt = fmt or _detect_format(lines)
+    fmt = fmt or detect_format(text)
     if fmt == "matrix":
         return _parse_matrix(text), fmt
-    return _parse_graph(lines), fmt
+    return parse_graph(text), fmt

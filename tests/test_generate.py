@@ -659,6 +659,48 @@ def test_counts_are_nonzero_exactly_on_the_pressable_graphs(n):
     _counts_agree_with_pressing_length(n)
 
 
+def _pressable_count(n):
+    """Graphs on n labeled vertices with a successful sequence, by the
+    exponential formula over their components (Cooper and Davis: every
+    nontrivial component has a loop), with no pressing code: a single
+    vertex, looped or not, in 2 ways, and a component on k >= 2
+    vertices in conn(k) (2^k - 1) ways."""
+    conn = [0]
+    for k in range(1, n + 1):
+        conn.append(2 ** math.comb(k, 2) - sum(
+            math.comb(k - 1, j - 1) * conn[j] * 2 ** math.comb(k - j, 2)
+            for j in range(1, k)
+        ))
+    ways = [0, 2] + [conn[k] * (2**k - 1) for k in range(2, n + 1)]
+    total = [1]
+    for m in range(1, n + 1):
+        total.append(sum(
+            math.comb(m - 1, k - 1) * ways[k] * total[m - k]
+            for k in range(1, m + 1)
+        ))
+    return total[n]
+
+
+def _unpressable_count(n):
+    return b"".join(generate._counts(n, 0, _masks(n))).count(0)
+
+
+@pytest.mark.parametrize(
+    "n, want", [(0, 0), (1, 0), (2, 1), (3, 10), (4, 115), (5, 1998)]
+)
+def test_counts_are_zero_on_the_closed_form_number_of_graphs(n, want):
+    """The table's c = 0 masks number 2^(n(n+1)/2) minus the pressable
+    graphs of the exponential formula."""
+    assert _masks(n) - _pressable_count(n) == want
+    assert _unpressable_count(n) == want
+
+
+@pytest.mark.slow
+def test_counts_are_zero_on_the_closed_form_number_of_graphs_at_six():
+    assert _masks(6) - _pressable_count(6) == 58_925
+    assert _unpressable_count(6) == 58_925
+
+
 def _cups_by_definition(n):
     """Rows of the masks with one successful sequence that the order
     1..n presses empty, checked by replay."""
