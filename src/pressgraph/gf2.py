@@ -112,46 +112,67 @@ def _press(rows: list[int], p: int) -> None:
     ones that row ``p``'s bits name, so only those are visited, through
     one C-level ``compress`` over its lanes.  This is both a press of
     looped vertex ``p`` and a GF(2) Cholesky elimination step; row
-    ``p`` holds its own bit, so it is cleared too.  It serves the
-    adaptive orders; ``_eliminate`` serves the fixed ones.
+    ``p`` holds its own bit, so it is cleared too.  It serves brute
+    force, which presses each state of its search once; the greedy and
+    the fixed orders defer their presses through ``_defer``.
     """
     piv = rows[p]
     for i in compress(range(len(rows)), _lanes(piv)):
         rows[i] ^= piv
 
 
+def _defer(
+    rows: list[int], table: list[int], keys: int, piv: int
+) -> tuple[list[int], int]:
+    """Add ``piv`` to the pending presses; return the new pending state.
+
+    Up to 8 pivots wait, as in M4RI's Method of Four Russians: ``table``
+    holds the 2^t sums of the t pending pivots, and byte i of ``keys``
+    has bit s equal to bit i of pivot s.  On symmetric rows pivot s was
+    XORed into exactly the rows its bits name, so row i stands for
+    ``rows[i] ^ table[keys >> 8 * i & 255]`` until a flush.  The 8th
+    pivot flushes every row and leaves the table empty, ``([0], 0)``.
+    """
+    t = len(table).bit_length() - 1
+    keys |= int.from_bytes(_lanes(piv), "little") << t
+    table += [x ^ piv for x in table]
+    if len(table) < 256:
+        return table, keys
+    _flush(rows, table, keys)
+    return [0], 0
+
+
+def _flush(rows: list[int], table: list[int], keys: int) -> None:
+    """Catch every row up with the pending presses, in place: row i XORs
+    in the table entry that byte i of ``keys`` names, in one C-level
+    pass.  With nothing pending (``keys`` is 0) no row is visited."""
+    if keys:
+        lookup = map(table.__getitem__, keys.to_bytes(len(rows), "little"))
+        rows[:] = map(xor, rows, lookup)
+
+
 def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
     """Press the indices of ``order`` on symmetric ``rows``, in place.
 
     Stops before the first entry not looped at its turn; returns the
-    rows pressed, each as it was just before its press.  Pivots go 8 at
-    a time, as in M4RI's Method of Four Russians: each is found on its
-    own row, XORing in the block's earlier pivots whose column it holds;
-    then every row i XORs in one entry of a 256-entry table of pivot
-    sums, keyed by the byte whose bit t is bit i of pivot t.  A press
-    keeps the rows symmetric, so just before press t bit p_t of row i
-    is bit i of pivot t: every row ends as its start XOR the pivots
-    holding its bit.  That holds for pressed rows, which end at zero,
-    and for rows pressed earlier, which are zero and get key 0.
+    rows pressed, each as it was just before its press.  Presses wait
+    in ``_defer``'s table, 8 at a time: each pivot is its row caught up
+    with the pending ones, and every row catches up in one ``_flush``
+    per 8 pivots and one at the end.  Caught-up rows are exact: a press
+    keeps the rows symmetric, so just before press s bit p_s of row i
+    is bit i of pivot s, and every row ends as its start XOR the
+    pivots holding its bit.  That holds for pressed rows, which end at
+    zero, and for rows pressed earlier, which are zero and get key 0.
     """
     pivots: list[int] = []
-    for start in range(0, len(order), 8):
-        block = order[start : start + 8]
-        table, keys = [0], 0
-        for t, p in enumerate(block):
-            piv = rows[p]
-            for q, prev in zip(block, pivots[start:]):
-                if piv >> q & 1:
-                    piv ^= prev
-            if not piv >> p & 1:
-                break
-            pivots.append(piv)
-            keys |= int.from_bytes(_lanes(piv), "little") << t
-            table += [x ^ piv for x in table]
-        lookup = map(table.__getitem__, keys.to_bytes(len(rows), "little"))
-        rows[:] = map(xor, rows, lookup)
-        if len(pivots) < start + len(block):
+    table, keys = [0], 0
+    for p in order:
+        piv = rows[p] ^ table[keys >> 8 * p & 255]
+        if not piv >> p & 1:
             break
+        pivots.append(piv)
+        table, keys = _defer(rows, table, keys, piv)
+    _flush(rows, table, keys)
     return pivots
 
 

@@ -4,13 +4,14 @@ import copy
 import itertools
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pressgraph import cholesky, generate
+from pressgraph import cholesky, generate, gf2
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -19,6 +20,7 @@ from pressgraph import (
     PseudoGraph,
     UnpressableError,
     all_pseudographs,
+    cup_from_choices,
     find_pressing_order,
     from_adjacency,
     generate_cup,
@@ -34,6 +36,7 @@ from conftest import (
     random_symmetric_rows,
     reference_find_pressing_order,
     reference_greedy,
+    run_cli,
 )
 
 
@@ -421,3 +424,115 @@ def test_greedy_equals_the_live_list_greedy_on_random_rows(rows):
     that tie at the first step and nearly cup graphs among them."""
     for stop in (False, True):
         assert cholesky._greedy(rows, stop) == reference_greedy(rows, stop)
+
+
+def _watched_greedy(monkeypatch, rows, stop):
+    """_greedy(rows, stop) with its table of pending presses watched.
+
+    Returns the 5-tuple and ``(flushes, pending, mixed)``: how often a
+    full table flushed, how many pivots still waited at the return, and
+    whether a pivot pressed straight into its rows came while others
+    waited.  The pivots of one run are distinct (each holds its own
+    bit, which no later row holds), so those that joined the table
+    mark the rest as pressed straight.
+    """
+    joined, flushes, pending = set(), [], []
+
+    def defer(rows, table, keys, piv):
+        joined.add(piv)
+        table, keys = gf2._defer(rows, table, keys, piv)
+        flushes.append(keys == 0)
+        return table, keys
+
+    def flush(rows, table, keys):
+        pending.append(len(table).bit_length() - 1)
+        gf2._flush(rows, table, keys)
+
+    with monkeypatch.context() as m:
+        m.setattr(cholesky, "_defer", defer)
+        m.setattr(cholesky, "_flush", flush)
+        got = cholesky._greedy(rows, stop)
+    waiting, mixed = 0, False
+    for piv in got[1]:
+        if piv in joined:
+            waiting = (waiting + 1) % 8
+        else:
+            mixed = mixed or waiting > 0
+    return got, (sum(flushes), pending[-1], mixed)
+
+
+def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
+    """Past the sizes the hypothesis rows reach, _greedy returns
+    reference_greedy's 5-tuple in both modes, and find_pressing_order
+    names reference_find_pressing_order's component on a stall.  The
+    seeded cases cross full-table flushes, press light pivots straight
+    while heavy ones wait, and tie in stop mode and stall with pivots
+    still waiting: cups with up to two pairs toggled, and sparse random
+    graphs, which tie early and mostly stall."""
+    seen = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        n = rng.randint(128, 300)
+        if seed % 3:
+            rows = list(random_cup(n, rng).rows)
+            for _ in range(seed % 3 - 1):
+                u, v = rng.randrange(n), rng.randrange(n)
+                rows[u] ^= 1 << v
+                if u != v:
+                    rows[v] ^= 1 << u
+        else:
+            rows = random_symmetric_rows(n, rng.choice((0.01, 0.02)), rng)
+        for stop in (False, True):
+            got, (flushes, pending, mixed) = _watched_greedy(
+                monkeypatch, rows, stop
+            )
+            assert got == reference_greedy(rows, stop), (seed, stop)
+            _, _, tie, _, alive = got
+            if flushes:
+                seen.add("flush")
+            if mixed:
+                seen.add("mixed")
+            if stop and tie is not None and pending:
+                seen.add("tie, pending")
+            if alive and not stop and pending:
+                seen.add("stall, pending")
+        g = from_adjacency(BitMatrix(n, rows))
+        try:
+            want = reference_find_pressing_order(g)
+        except UnpressableError as stall:
+            with pytest.raises(UnpressableError) as exc:
+                find_pressing_order(g)
+            assert exc.value.component == stall.component
+            continue
+        assert find_pressing_order(g) == PressingOrder(*want[:3])
+    assert seen == {"flush", "mixed", "tie, pending", "stall, pending"}
+
+
+# A word drawn 3:1 toward R; the relabeled cup it builds is the
+# committed fixture that the installed-package CI job recognizes.
+CUP56_WORD = "RRRRRRRRRRRRRLRRLRRRRLRRLLRRLRRLRRLRLRRRLLRRRRRRRLRRRRL"
+CUP56_SEQUENCE = (
+    "18 27 32 17 6 20 22 2 5 31 1 8 19 45 51 3 40 48 9 56 10 14 28 39 "
+    "55 33 23 49 29 52 11 38 12 26 4 35 41 46 30 37 13 24 15 25 53 16 "
+    "36 47 44 50 42 34 54 43 7 21"
+)
+
+
+def test_cup56_fixture_flushes_the_table_and_keeps_its_sequence(
+    monkeypatch,
+):
+    """tests/data/cup56.graph is the cup of CUP56_WORD relabeled by a
+    seeded permutation; its greedy fills and flushes the table of
+    pending presses and ends with pivots still waiting, and recognize
+    prints its pinned unique sequence."""
+    path = Path(__file__).parent / "data" / "cup56.graph"
+    g = cup_from_choices(CUP56_WORD)
+    g = g.relabel(dict(zip(g.labels, random.Random(45).sample(g.labels, 56))))
+    assert path.read_text() == g.to_text()
+    got, (flushes, pending, _) = _watched_greedy(monkeypatch, g.rows, True)
+    assert got == reference_greedy(g.rows, True)
+    assert flushes >= 1 and pending > 0
+    code, out, err = run_cli(["recognize", str(path)])
+    assert (code, out, err) == (
+        0, f"verdict: yes\nsequence: {CUP56_SEQUENCE}\n", ""
+    )

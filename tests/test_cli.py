@@ -777,7 +777,7 @@ def test_cli_import_leaves_out(flags, modules):
         [sys.executable, *flags, "-c", code],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": str(src)},
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n")

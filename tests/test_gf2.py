@@ -27,6 +27,7 @@ from pressgraph import (
     RecognitionReport,
     transpose_mul,
 )
+from pressgraph import gf2
 from pressgraph.gf2 import _eliminate, _lanes, _press
 from conftest import (
     dense_det2,
@@ -318,23 +319,17 @@ def test_all_ones_minors_iff_natural_order_presses(n, rng):
     assert (minors == (1,) * n) == full
 
 
-@st.composite
-def _eliminations(draw):
-    """Symmetric rows on n <= 40 and an order up to 40 long whose first
-    stop falls at entry 1, 8, 9, 16 or 17 (either side of a block edge)
-    or nowhere.
+def _elimination_case(rng, n, m, stop, tail):
+    """Symmetric rows on n vertices and an order whose first stop falls
+    at entry ``stop`` = m + 1, or nowhere if ``stop`` is None.
 
     The top-left m x m block of the rows is U^T U for a random unit
     upper-triangular U, which presses in index order whatever the other
-    rows hold, so the first ``stop - 1`` entries are valid.  The entry
-    at ``stop`` is loopless at its turn (a pressed index repeats, or a
-    loopless one comes); any indices follow it.  Every index is then
+    rows hold, so the first m entries are valid.  The entry at ``stop``
+    is loopless at its turn (a pressed index repeats, or a loopless one
+    comes); up to ``tail`` indices follow it.  Every index is then
     relabeled at random.
     """
-    stop = draw(st.sampled_from((1, 8, 9, 16, 17, None)))
-    n = draw(st.integers(stop or 0, 40))
-    m = draw(st.integers(0, n)) if stop is None else stop - 1
-    rng = random.Random(draw(st.integers(0, 2**32)))
     u = [rng.getrandbits(m - i) << i | 1 << i for i in range(m)]
     gram = transpose_mul(BitMatrix(m, u)).row_bits
     rows = [0] * n
@@ -353,12 +348,37 @@ def _eliminations(draw):
             loopless = [rng.randrange(n)]
             rows[loopless[0]] ^= 1 << loopless[0]
         order.append(rng.choice(loopless))
-        order += [rng.randrange(n) for _ in range(rng.randint(0, 40 - stop))]
+        order += [rng.randrange(n) for _ in range(rng.randint(0, tail))]
     perm = rng.sample(range(n), n)
     moved = [0] * n
     for i, r in enumerate(rows):
         moved[perm[i]] = sum(1 << perm[j - 1] for j in iter_support(r))
-    return moved, [perm[p] for p in order], stop
+    return moved, [perm[p] for p in order]
+
+
+@st.composite
+def _eliminations(draw):
+    """Symmetric rows on n <= 40 and an order up to 40 long whose first
+    stop falls at entry 1, 8, 9, 16 or 17 (either side of a block edge)
+    or nowhere, as _elimination_case builds them."""
+    stop = draw(st.sampled_from((1, 8, 9, 16, 17, None)))
+    n = draw(st.integers(stop or 0, 40))
+    m = draw(st.integers(0, n)) if stop is None else stop - 1
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tail = 40 - (stop or 40)
+    return (*_elimination_case(rng, n, m, stop, tail), stop)
+
+
+def _pressed_one_at_a_time(rows, order):
+    """reference_press along ``order`` up to its first loopless entry:
+    the pivot rows and the final rows."""
+    rows, pivots = list(rows), []
+    for p in order:
+        if not rows[p] >> p & 1:
+            break
+        pivots.append(rows[p])
+        reference_press(rows, p, range(len(rows)))
+    return pivots, rows
 
 
 @settings(max_examples=300, deadline=None)
@@ -368,16 +388,31 @@ def test_eliminate_equals_one_press_at_a_time(case):
     stop and the final rows of reference_press applied one pivot at a
     time."""
     rows, order, stop = case
-    want_rows, want = list(rows), []
-    for p in order:
-        if not want_rows[p] >> p & 1:
-            break
-        want.append(want_rows[p])
-        reference_press(want_rows, p, range(len(rows)))
     got_rows = list(rows)
     got = _eliminate(got_rows, order)
-    assert (got, got_rows) == (want, want_rows)
+    assert (got, got_rows) == _pressed_one_at_a_time(rows, order)
     assert len(got) == (len(order) if stop is None else stop - 1)
+
+
+@pytest.mark.parametrize("n, stop", [(128, 100), (200, 133), (300, 263)])
+def test_eliminate_stops_partway_through_a_table(n, stop, monkeypatch):
+    """At n = 128..300, an order whose first loopless entry comes with
+    pivots still waiting in the table: _eliminate flushes every full
+    table, then the partial one at the stop, and ends with the pivot
+    rows and rows of reference_press applied one pivot at a time."""
+    rows, order = _elimination_case(random.Random(n), n, stop - 1, stop, 40)
+    pending, real = [], gf2._flush
+
+    def flush(rows, table, keys):
+        pending.append(len(table).bit_length() - 1)
+        real(rows, table, keys)
+
+    monkeypatch.setattr(gf2, "_flush", flush)
+    got_rows = list(rows)
+    got = _eliminate(got_rows, order)
+    assert (got, got_rows) == _pressed_one_at_a_time(rows, order)
+    assert len(got) == stop - 1
+    assert pending == [8] * ((stop - 1) // 8) + [(stop - 1) % 8]
 
 
 @st.composite

@@ -30,7 +30,7 @@ from pressgraph import (
     recognize,
     transpose_mul,
 )
-from conftest import naive_greedy, naive_successful_sequences
+from conftest import naive_greedy, naive_successful_sequences, reference_press
 
 
 # The smallest graph found whose greedy reaches PROP3 (column 6).
@@ -250,31 +250,26 @@ def _mirror(m, rng):
     return PseudoGraph(range(1, 2 * m + 1), edges)
 
 
-def test_recognize_presses_nothing_past_the_first_tie(monkeypatch):
-    """recognize makes first_tie - 1 presses on a TIE reject, where the
-    full greedy runs on: a seeded mirrored graph on 64 vertices, and
-    every graph with n <= 4."""
+def test_recognize_presses_nothing_past_the_first_tie():
+    """recognize's greedy, _greedy(rows, True), makes first_tie - 1
+    presses on a TIE reject, where the full greedy runs on, and returns
+    the rows reference_press leaves along those presses: a seeded
+    mirrored graph on 64 vertices, and every graph with n <= 4."""
     mirror = _mirror(32, random.Random(64))
     full = find_pressing_order(mirror)
     assert full.first_tie == 1 and len(full.permutation) > 1
-    presses = 0
-
-    def counting(*args):
-        nonlocal presses
-        presses += 1
-        return real_press(*args)
-
-    real_press = cholesky._press
-    monkeypatch.setattr(cholesky, "_press", counting)
     later_ties = 0
     for g in [mirror, *(g for n in range(5) for g in all_pseudographs(n))]:
-        presses = 0
-        rep = recognize(g)
-        if rep.reason != REASON_TIE:
+        if recognize(g).reason != REASON_TIE:
             assert g is not mirror
             continue
         tie = naive_greedy(g)[1]
-        assert presses == tie - 1
+        order, _, first_tie, rows, _ = cholesky._greedy(g.rows, True)
+        assert first_tie == tie and len(order) == tie - 1
+        want = list(g.rows)
+        for p in order:
+            reference_press(want, p, range(g.n))
+        assert rows == want
         later_ties += tie > 1
     assert later_ties > 0
 
