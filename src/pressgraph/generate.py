@@ -302,8 +302,9 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     return min(map(relabeled, itertools.permutations(range(n))))
 
 
-# Pair-masks per block of _counts: each block costs one C-level gather
-# per looped vertex, so the interpreter's share per mask is about 1/1024.
+# Pair-masks per block of _counts: each block costs one join of a few
+# pages and one cached C-level gather per looped vertex, so the
+# interpreter's share per mask is about 1/1024.
 _BLOCK_BITS = 10
 # Caps a byte of summed counts at 2.
 _CAP = bytes(min(c, 2) for c in range(256))
@@ -329,9 +330,15 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     a block of masks that share their high bits, the index of G_v in
     the table of the level below is one row, fixed by the high part of
     N(v) - v, XOR one number d; the flag of an unlooped v indexes a
-    zero half appended to that table.  The table of the level below is
-    built the same way, upward from n = 0; the level-n masks are
-    streamed.
+    zero half appended to that table.  d sets only the flag and the
+    bits of the high pairs that avoid v, which under lexicographic pair
+    order are the top bits of the index, none below page.  So a row,
+    cached per v and high part of N(v) - v, reads a few pages of the
+    table below, the same ones moved by d in every block: each block
+    joins them into one short table and gathers from it through a
+    getter cached with the row, XORing no index per mask.  The table
+    of the level below is built the same way, upward from n = 0; the
+    level-n masks are streamed.
     """
     if n == 0:
         yield b"\x01"[lo:hi]
@@ -367,27 +374,36 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
         low = [flag]
         for part in parts[:k]:
             low += [x ^ part for x in low]
+        # The low pairs that avoid v are the first positions of the level
+        # below, so d, the high pairs' part, sets no bit under page.
+        page = 1 << sum(v not in pair for pair in pairs[:k])
         vertices.append((
             [x & in_below for x in low], [x >> shift for x in low],
-            parts[k:], pairs.index((v, v)), {},
+            parts[k:], pairs.index((v, v)), page, {},
         ))
     for base in range(lo - lo % size, hi, size):
         total = int(base == 0)
-        for low_index, low_set, high, loop, by_set in vertices:
+        for low_index, low_set, high, loop, page, by_set in vertices:
             if loop >= k and not base >> loop & 1:
                 continue  # v is unlooped on the whole block
             d = 0
             for t in iter_support(base >> k):
                 d ^= high[t - 1]
             s = d >> shift
-            row = by_set.get(s)
-            if row is None:
+            entry = by_set.get(s)
+            if entry is None:
                 sets = map(or_, low_set, itertools.repeat(s))
-                row = by_set[s] = list(
-                    map(xor, low_index, map(clique.__getitem__, sets))
+                row = list(map(xor, low_index, map(clique.__getitem__, sets)))
+                # The pages that row touches, and row in the table that
+                # lays them out in that order.
+                starts = sorted({x & -page for x in row})
+                at = {t: i * page for i, t in enumerate(starts)}
+                entry = by_set[s] = starts, itemgetter(
+                    *[at[x & -page] | x & page - 1 for x in row]
                 )
-            d &= in_below
-            counts = itemgetter(*map(xor, row, itertools.repeat(d)))(below)
+            starts, gather = entry
+            moved = map(xor, starts, itertools.repeat(d & in_below))
+            counts = gather(b"".join([below[t:t + page] for t in moved]))
             # Each count is at most 2, so n of them never carry for n <= 127.
             total += int.from_bytes(bytes(counts), "little")
         # A block that lo or hi cuts is counted whole, then cut.

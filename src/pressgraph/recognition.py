@@ -116,8 +116,11 @@ def _check_columns(
     top: dict[int, int] = {}
     seen = active = broken = 0
     for t, r in enumerate(rows):
-        for b in iter_support(r & ~seen):
-            top[b - 1] = t
+        new = r & ~seen
+        while new:
+            low = new & -new
+            top[low.bit_length() - 1] = t
+            new ^= low
         seen |= r
         broken |= active & ~r
         active = (active | r) & ~(1 << order[t])
@@ -131,15 +134,20 @@ def _check_columns(
         # down to the diagonal.
         w = [j - top[p] + 1 if p in top else 0 for j, p in enumerate(order)]
 
-    fail2 = 1 if n and w[0] != 1 else next(
-        (j + 1 for j in range(1, n) if w[j] < w[j - 1]), None
-    )
-    fail3 = next(
-        (i + 3 for i in range(n - 2) if w[i] > 2 and w[i + 2] <= w[i]), None
-    )
-    # From the first odd non-initial column on, every column is full.
-    odd = next((j for j in range(1, n) if w[j] & 1), n)
-    fail4 = next((t + 1 for t in range(odd, n) if w[t] != t + 1), None)
+    # One pass for properties 2-4; from the first odd non-initial
+    # column on, every column must be full.
+    fail2 = 1 if n and w[0] != 1 else None
+    fail3 = fail4 = None
+    odd = False
+    for j in range(1, n):
+        wj = w[j]
+        if fail2 is None and wj < w[j - 1]:
+            fail2 = j + 1
+        if fail3 is None and j > 1 and w[j - 2] > 2 and wj <= w[j - 2]:
+            fail3 = j + 1
+        odd = odd or wj & 1
+        if fail4 is None and odd and wj != j + 1:
+            fail4 = j + 1
 
     return (fail1, fail2, fail3, fail4), tuple(w)
 

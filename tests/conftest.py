@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import contextlib
+from collections import Counter
 
 import pytest
 
@@ -374,6 +375,46 @@ def reference_find_pressing_order(g, stop_at_tie=False):
         comp = iter_support(_reach(rows, rows[alive[0]]))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
     return seq, True, first_tie, tuple(pivots)
+
+
+def reference_check_columns(rows, order):
+    """The four column checks, as recognition._check_columns made them
+    with one generator pass per property over the weights, kept as an
+    oracle: the same ``(failures, weights)``."""
+    n = len(order)
+    # One top-down row scan: note the first row holding each column, and
+    # track the columns whose run of ones has started but not yet
+    # reached the diagonal.  A started column missing from the current
+    # row breaks property 1.
+    top: dict[int, int] = {}
+    seen = active = broken = 0
+    for t, r in enumerate(rows):
+        for b in iter_support(r & ~seen):
+            top[b - 1] = t
+        seen |= r
+        broken |= active & ~r
+        active = (active | r) & ~(1 << order[t])
+    if broken:
+        fail1 = next(j for j, p in enumerate(order, 1) if broken >> p & 1)
+        ones = Counter(b - 1 for r in rows for b in iter_support(r))
+        w = [ones[p] for p in order]
+    else:
+        fail1 = None
+        # Property 1 holds, so the ones of column j run from its top row
+        # down to the diagonal.
+        w = [j - top[p] + 1 if p in top else 0 for j, p in enumerate(order)]
+
+    fail2 = 1 if n and w[0] != 1 else next(
+        (j + 1 for j in range(1, n) if w[j] < w[j - 1]), None
+    )
+    fail3 = next(
+        (i + 3 for i in range(n - 2) if w[i] > 2 and w[i + 2] <= w[i]), None
+    )
+    # From the first odd non-initial column on, every column is full.
+    odd = next((j for j in range(1, n) if w[j] & 1), n)
+    fail4 = next((t + 1 for t in range(odd, n) if w[t] != t + 1), None)
+
+    return (fail1, fail2, fail3, fail4), tuple(w)
 
 
 def reference_matrix_from_text(text):

@@ -652,6 +652,29 @@ def test_counts_stream_any_range_in_bounded_blocks(lo, hi):
     assert all(len(block) <= 1 << generate._BLOCK_BITS for block in blocks)
 
 
+@pytest.mark.parametrize("bits", [3, 5, 7])
+def test_counts_match_at_smaller_blocks(monkeypatch, bits):
+    """At the default block size no level below 5 has a pair above the
+    block, so only level 5 reaches the gather over pages of the level
+    below; with smaller blocks levels 3 and 4 reach it too.  Levels 3-5,
+    whole and on ranges cut off the block boundaries, give the default
+    table, and levels up to 4 give the capped uncapped counts."""
+    default = {
+        n: b"".join(generate._counts(n, 0, _masks(n))) for n in (3, 4, 5)
+    }
+    monkeypatch.setattr(generate, "_BLOCK_BITS", bits)
+    for n, whole in default.items():
+        m = _masks(n)
+        for lo, hi in [(0, m), (1, m - 1), (m // 3, m // 2 + 5), (7, 8)]:
+            blocks = list(generate._counts(n, lo, hi))
+            assert b"".join(blocks) == whole[lo:hi], (n, lo, hi)
+            assert all(len(block) <= 1 << bits for block in blocks)
+    for n in range(5):
+        uncapped = _uncapped_counts(n)
+        for c, rows in _counted(n):
+            assert c == min(uncapped[rows], 2), rows
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_counts_are_nonzero_exactly_on_the_pressable_graphs(n):
     """c >= 1 iff every nontrivial component has a looped vertex

@@ -5,8 +5,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pressgraph import cholesky, recognition
+from pressgraph import cholesky, generate, recognition
 from pressgraph import (
     BitMatrix,
     OracleBoundError,
@@ -30,7 +32,12 @@ from pressgraph import (
     recognize,
     transpose_mul,
 )
-from conftest import naive_greedy, naive_successful_sequences, reference_press
+from conftest import (
+    naive_greedy,
+    naive_successful_sequences,
+    reference_check_columns,
+    reference_press,
+)
 
 
 # The smallest graph found whose greedy reaches PROP3 (column 6).
@@ -527,6 +534,86 @@ def test_column_weights_match_a_per_column_count():
         rep = check_properties(u)
         want = tuple(u.column(j).weight() for j in range(1, u.n + 1))
         assert rep.column_weights == want
+
+
+def _banded(weights, order):
+    """Rows whose column j (in ``order``) holds ones in rows
+    j - w_j + 1 .. j, so property 1 holds: column weights w."""
+    rows = [0] * len(order)
+    for j, w in enumerate(weights):
+        for t in range(j - w + 1, j + 1):
+            rows[t] |= 1 << order[j]
+    return rows
+
+
+# (rows, order, first failure) reaching each outcome of _check_columns:
+# every property passing, a column whose run of ones breaks before its diagonal
+# (the Counter path), w_1 != 1, a drop in weight, a weight above 2 not
+# growing within two columns, and an odd column followed by one that
+# is not full.
+CHECK_COLUMNS_CASES = [
+    (_banded((1, 2, 2, 2), range(4)), range(4), None),
+    ([0b1011, 0b0110, 0b1100, 0b1000], [0, 1, 2, 3], (1, 4)),
+    # Columns 1-4 are bits 3, 1, 0, 2; row 2 misses column 3's bit 0.
+    ([0b1011, 0b0110, 0b0101, 0b0100], [3, 1, 0, 2], (1, 3)),
+    (_banded((0, 1), range(2)), range(2), (2, 1)),
+    (_banded((1, 2, 3, 2), range(4)), range(4), (2, 4)),
+    (_banded((1, 2, 3, 3, 3), [4, 2, 0, 1, 3]), [4, 2, 0, 1, 3], (3, 5)),
+    (_banded((1, 2, 3, 3), [2, 0, 3, 1]), [2, 0, 3, 1], (4, 4)),
+]
+
+
+@pytest.mark.parametrize("rows, order, first", CHECK_COLUMNS_CASES)
+def test_check_columns_cases_reach_their_outcome(rows, order, first):
+    """Each case fails first at its named property and column, or
+    passes, under the reference and under _check_columns alike."""
+    got = recognition._check_columns(rows, order)
+    assert got == reference_check_columns(rows, order)
+    failed = [(k, col) for k, col in enumerate(got[0], 1) if col]
+    assert (failed[0] if failed else None) == first
+
+
+@st.composite
+def _triangular_cases(draw):
+    """Rows upper-triangular in a drawn column order: banded columns of
+    drawn weights, then up to two entries on or above the diagonal
+    toggled, which may break property 1."""
+    n = draw(st.integers(0, 9))
+    order = draw(st.permutations(range(n)))
+    weights = [draw(st.integers(0, j + 1)) for j in range(n)]
+    rows = _banded(weights, order)
+    if n:
+        spots = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        for t, j in draw(st.lists(spots, max_size=2)):
+            rows[min(t, j)] ^= 1 << order[max(t, j)]
+    return rows, order
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_triangular_cases())
+@example(case=CHECK_COLUMNS_CASES[2][:2])
+@example(case=CHECK_COLUMNS_CASES[5][:2])
+@example(case=CHECK_COLUMNS_CASES[6][:2])
+def test_check_columns_matches_the_reference_on_any_triangular_rows(case):
+    rows, order = case
+    assert recognition._check_columns(rows, order) == (
+        reference_check_columns(rows, order)
+    )
+
+
+def test_check_columns_matches_the_reference_on_every_greedy_root():
+    """On every graph of level 5 (every graph with n <= 5, padded)
+    whose greedy ends with no tie and no stall, the pivots and order
+    that _decide checks give the reference's failures and weights."""
+    checked = 0
+    for rows in generate._mask_rows(5, 0, 1 << 15):
+        order, pivots, first_tie, _, alive = cholesky._greedy(rows, True)
+        if first_tie is None and not alive:
+            assert recognition._check_columns(pivots, order) == (
+                reference_check_columns(pivots, order)
+            ), rows
+            checked += 1
+    assert checked == 3026
 
 
 def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
