@@ -81,24 +81,18 @@ class UnpressableError(ValueError):
 class PressingOrder(_Record):
     """A pressing order found by the greedy strategy.
 
-    ``permutation`` lists the pressed labels in press order.
-    ``first_tie`` is the 1-based step at which two looped vertices first
-    shared the maximum degree, or None.  ``complete`` is always True:
-    the greedy ran to the end, and the vertices left unpressed ended
-    isolated and loopless.
+    ``permutation`` lists the pressed labels in press order; the greedy
+    ran to the end, and the vertices left unpressed ended isolated and
+    loopless.  ``first_tie`` is the 1-based step at which two looped
+    vertices first shared the maximum degree, or None.
     """
 
-    __match_args__ = ("permutation", "complete", "first_tie")
+    __match_args__ = ("permutation", "first_tie")
 
     def __init__(
-        self,
-        permutation: tuple[int, ...],
-        complete: bool,
-        first_tie: int | None = None,
+        self, permutation: tuple[int, ...], first_tie: int | None = None
     ) -> None:
-        self.__dict__.update(
-            permutation=permutation, complete=complete, first_tie=first_tie
-        )
+        self.__dict__.update(permutation=permutation, first_tie=first_tie)
 
 
 class CholeskyRoot(_Record):
@@ -157,7 +151,7 @@ def find_pressing_order(g: PseudoGraph) -> PressingOrder:
     if alive:
         comp = iter_support(_reach(rows, rows[alive[0]]))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
-    return PressingOrder(tuple(labels[i] for i in order), True, first_tie)
+    return PressingOrder(tuple(labels[i] for i in order), first_tie)
 
 
 def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:

@@ -302,9 +302,15 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
     return min(map(relabeled, itertools.permutations(range(n))))
 
 
-# Pair-masks per block of _counts: each block costs one join of a few
-# pages and one cached C-level gather per looped vertex, so the
-# interpreter's share per mask is about 1/1024.
+# Caps the bits of a block of _counts, k = min(_BLOCK_BITS, 2n - 1); no
+# level has fewer pairs.  The first 2n - 1 pairs are those at vertices 1
+# and 2, so a block fixes the graph on 3..n: vertices 1 and 2 need one
+# cached gather each per level, and each v >= 3 one per subset of the
+# other vertices in 3..n.  A larger k builds bigger gathers that fewer
+# blocks read, a smaller one more blocks and gathers: levels 3-5 ran
+# fastest at 2n - 1.  The cap leaves n >= 6 at 1,024 masks: a cap of 12
+# made census 7 --jobs 2 about a tenth faster (CPython 3.11.7, 2 vCPUs)
+# but raised each worker's peak RSS from 21.6 to 32.4 MiB, 13 to 43.9.
 _BLOCK_BITS = 10
 # Caps a byte of summed counts at 2.
 _CAP = bytes(min(c, 2) for c in range(256))
@@ -316,8 +322,8 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     c(G) is the number of successful pressing sequences of G, from the
     definition: 1 for the edgeless graph, else the sum over looped v of
     c(G_v), where G_v is G pressed at v with v deleted.  The blocks hold
-    one byte per mask, in mask order, each at most 2^_BLOCK_BITS masks
-    and aligned to that size except where lo or hi cuts one.
+    one byte per mask, in mask order, each 2^k masks, aligned to that
+    size except where lo or hi cuts one; k = min(_BLOCK_BITS, 2n - 1).
 
     The press at v toggles every pair inside N(v), loops included, and
     leaves v isolated, so the (n - 1)-vertex pair-mask of G_v is the
@@ -357,7 +363,8 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
             if i <= j)
         for s in range(1 << (n - 1))
     ]
-    k = min(_BLOCK_BITS, len(pairs))
+    # A block varies every pair at vertices 1 and 2 (_BLOCK_BITS).
+    k = min(_BLOCK_BITS, 2 * n - 1)
     size = 1 << k
     vertices = []
     for v in range(1, n + 1):

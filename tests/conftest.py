@@ -502,6 +502,68 @@ def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
     return tuple(current)
 
 
+def reference_peel(rows):
+    """Decide unique pressability by undoing the extension maps.
+
+    A second decider, kept as an oracle for the recognizer: every cup
+    on k + 1 vertices is L or R of a cup on k, so the core (the nonzero
+    rows) is peeled one vertex at a time down to a single loop.  With
+    exactly one looped vertex u it undoes L: press u (every pair inside
+    N(u) toggles, loops included) and drop it; u is pressed before the
+    rest.  With more it undoes R: drop a vertex v whose row is the
+    looped set exactly and which is looped iff k - 1 is even, k the
+    vertices left; v is pressed after the rest.  Any such v will do:
+    two of them are twins.  A peel that leaves a zero row, or no
+    looped vertex, or no such v, rejects.
+
+    Each step is the exact inverse of its map, so a yes rebuilds the
+    core from a single loop by the word, and a cup is connected: no
+    reach is needed.  A cup with one looped vertex presses it first,
+    and one with more was last extended by R, so the peel misses no cup.
+
+    Returns ``(order, word)``, the press-order row indices and the word
+    that cup_from_choices builds the core from in that order, or None;
+    the edgeless graph gives ``([], "")``.
+    """
+    rows = list(rows)
+    live = sum(1 << i for i, r in enumerate(rows) if r)
+    if not live:
+        return [], ""
+    front, back, letters = [], [], []
+    while live & live - 1:
+        looped = sum(r & 1 << i for i, r in enumerate(rows))
+        if not looped:
+            return None
+        if not looped & looped - 1:
+            u = looped.bit_length() - 1
+            pivot = rows[u]
+            for j in iter_support(pivot):
+                rows[j - 1] ^= pivot
+            front.append(u)
+            letters.append("L")
+        else:
+            # R looped the new vertex iff k - 1 was even.
+            loop = live.bit_count() % 2 == 1
+            u = next((
+                j - 1 for j in iter_support(live)
+                if rows[j - 1] == looped and bool(looped >> j - 1 & 1) == loop
+            ), None)
+            if u is None:
+                return None
+            for j in iter_support(rows[u]):
+                rows[j - 1] &= ~(1 << u)
+            rows[u] = 0
+            back.append(u)
+            letters.append("R")
+        live ^= 1 << u
+        if not all(rows[j - 1] for j in iter_support(live)):
+            return None
+    last = live.bit_length() - 1
+    if not rows[last] >> last & 1:
+        return None
+    return [*front, last, *reversed(back)], "".join(reversed(letters))
+
+
 def run_cli(argv, stdin=None):
     """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()

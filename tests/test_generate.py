@@ -14,6 +14,7 @@ from conftest import (
     reference_extend_left,
     reference_extend_right,
     reference_generate_cup,
+    reference_peel,
     reference_press,
 )
 from pressgraph import generate, recognition
@@ -323,6 +324,52 @@ def test_weight_key_rebuilds_the_core_past_n_5():
         assert _weight_class(n, weights).rows == renamed
 
 
+def _cup_weights(n):
+    """Every weight sequence of length n >= 1 that passes properties
+    2-4, by a search that checks each on the prefix: w_1 = 1 and
+    w_j <= j, nondecreasing; a weight above 2 grows within two columns;
+    and every column from the first odd non-initial one on is full.
+    Property 1 holds by construction: _weight_class puts the ones of
+    column j in rows j - w_j + 1 .. j."""
+    def extend(w, full):
+        j = len(w)
+        if j == n:
+            yield tuple(w)
+            return
+        for x in (j + 1,) if full else range(w[-1], j + 2):
+            if j >= 2 and w[j - 2] > 2 and x <= w[j - 2]:
+                continue
+            odd = full or x & 1
+            if odd and x != j + 1:
+                continue
+            yield from extend([*w, x], odd)
+
+    yield from extend([1], False)
+
+
+def _weights_agree_with_generate(n):
+    weights = list(_cup_weights(n))
+    graphs = [_weight_class(n, w) for w in weights]
+    assert len(set(graphs)) == len(graphs) == cup_count(n)
+    assert set(graphs) == set(generate_cup(n))
+    for w, g in zip(weights, graphs):
+        assert recognition._decide(g.rows)[3] == w
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_weight_sequences_generate_the_cups(n):
+    """A third generator, from the root's column weights alone: the
+    valid weight sequences build, as U^T U, exactly generate_cup(n),
+    and the recognizer reads each one's weights back off its graph."""
+    _weights_agree_with_generate(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", range(16, 21))
+def test_weight_sequences_generate_the_cups_past_fourteen(n):
+    _weights_agree_with_generate(n)
+
+
 def test_census_range_matches_a_public_recognize_sweep():
     """At n <= 4 the census range counts the yes graphs of public
     recognize, and each of its weight keys rebuilds one of their
@@ -623,6 +670,23 @@ def test_counts_agree_with_decide_at_six():
     _counts_agree_with_decide(6)
 
 
+def _counts_agree_with_peel(n):
+    for c, rows in _counted(n):
+        assert (c == 1) == (reference_peel(rows) is not None), rows
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_counts_agree_with_peel(n):
+    """Peel, which undoes the extension maps, says yes on exactly the
+    masks with one successful sequence, every graph with n <= 5."""
+    _counts_agree_with_peel(n)
+
+
+@pytest.mark.slow
+def test_counts_agree_with_peel_at_six():
+    _counts_agree_with_peel(6)
+
+
 @pytest.mark.slow
 def test_counts_agree_with_decide_and_pressing_length_on_slices_of_seven():
     """On three seeded 4096-mask slices of level 7, one of them off the
@@ -652,13 +716,53 @@ def test_counts_stream_any_range_in_bounded_blocks(lo, hi):
     assert all(len(block) <= 1 << generate._BLOCK_BITS for block in blocks)
 
 
-@pytest.mark.parametrize("bits", [3, 5, 7])
+def _block_bits(n):
+    """The block bits the rule gives level n: every pair at vertices 1
+    and 2, up to the cap."""
+    return min(generate._BLOCK_BITS, 2 * n - 1, n * (n + 1) // 2)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_counts_block_sizes_follow_the_pairs_at_vertices_one_and_two(n):
+    """The first 2n - 1 pairs in lexicographic order are those at
+    vertices 1 and 2, and every block of a whole level n <= 6 holds
+    2^min(_BLOCK_BITS, 2n - 1, P) masks: 2, 8, 32, 128, 512, then the
+    cap's 1024."""
+    pairs = generate._pairs(n)
+    assert {p for p in pairs if p[0] <= 2} == set(pairs[:2 * n - 1])
+    sizes = {len(b) for b in generate._counts(n, 0, _masks(n))}
+    assert sizes == {1 << _block_bits(n)}
+    assert [1 << _block_bits(m) for m in range(1, 7)] == [
+        2, 8, 32, 128, 512, 1024
+    ]
+
+
+def test_counts_block_sizes_on_an_aligned_slice_of_seven():
+    """Level 7 keeps the cap's blocks of 1024 on a slice aligned to them."""
+    lo = 5 << 12
+    blocks = list(generate._counts(7, lo, lo + 4096))
+    assert [len(b) for b in blocks] == [1 << _block_bits(7)] * 4 == [1024] * 4
+
+
+_SMALLER_BITS = [3, 5, 7]
+
+
+def test_smaller_block_sizes_cut_levels_three_to_five():
+    """test_counts_match_at_smaller_blocks reaches, at one of its sizes
+    at least, a block smaller than the default on each of levels 3-5."""
+    for n in (3, 4, 5):
+        assert min(_SMALLER_BITS) < _block_bits(n), n
+
+
+@pytest.mark.parametrize("bits", _SMALLER_BITS)
 def test_counts_match_at_smaller_blocks(monkeypatch, bits):
-    """At the default block size no level below 5 has a pair above the
-    block, so only level 5 reaches the gather over pages of the level
-    below; with smaller blocks levels 3 and 4 reach it too.  Levels 3-5,
-    whole and on ranges cut off the block boundaries, give the default
-    table, and levels up to 4 give the capped uncapped counts."""
+    """At the default block size levels 3, 4 and 5 have pairs above the
+    block, those that avoid vertices 1 and 2, so all three reach the
+    gather over pages of the level below; smaller blocks, down to 2^3
+    masks, cut each of them at other boundaries and move more of its
+    pairs above the block.  Levels 3-5, whole and on ranges cut off the
+    block boundaries, give the default table, and levels up to 4 give
+    the capped uncapped counts."""
     default = {
         n: b"".join(generate._counts(n, 0, _masks(n))) for n in (3, 4, 5)
     }

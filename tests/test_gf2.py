@@ -487,9 +487,9 @@ _RECORDS = [
         "PseudoGraph(labels=(1, 2), rows=(3, 1))",
     ),
     (
-        lambda: PressingOrder(permutation=(2, 1), complete=True),
-        {"permutation": (2, 1), "complete": True, "first_tie": None},
-        "PressingOrder(permutation=(2, 1), complete=True, first_tie=None)",
+        lambda: PressingOrder(permutation=(2, 1)),
+        {"permutation": (2, 1), "first_tie": None},
+        "PressingOrder(permutation=(2, 1), first_tie=None)",
     ),
     (
         lambda: CholeskyRoot(matrix=BitMatrix(1, (1,)), order=(5,)),

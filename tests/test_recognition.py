@@ -25,6 +25,7 @@ from pressgraph import (
     from_adjacency,
     generate_cup,
     instructional_root,
+    iter_support,
     parse_graph,
     pressing_length,
     principal_submatrix,
@@ -35,7 +36,9 @@ from pressgraph import (
 from conftest import (
     naive_greedy,
     naive_successful_sequences,
+    random_symmetric_rows,
     reference_check_columns,
+    reference_peel,
     reference_press,
 )
 
@@ -709,3 +712,48 @@ def test_recognize_reads_weights_by_column_past_the_core_size():
         assert got == reference_recognize(h)
         reasons.add(got.reason)
     assert {None, "PROP1", "PROP2", "PROP4"} <= reasons
+
+
+# ------------------------------------------------------- recognize vs peel
+
+
+@st.composite
+def _peel_cases(draw):
+    """A permuted cup with n <= 120 and up to 3 padding vertices, the
+    same with one pair flipped (a loop or an edge), or a random graph
+    with n <= 30 at a drawn density."""
+    kind = draw(st.sampled_from(("cup", "flipped", "random")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "random":
+        n = draw(st.integers(0, 30))
+        density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+        rows = random_symmetric_rows(n, density, rng)
+        return PseudoGraph._from_rows(tuple(range(1, n + 1)), rows)
+    cup = random_cup(draw(st.integers(1, 120)), rng)
+    g = _scatter(cup, rng, spare=draw(st.integers(0, 3)))
+    if kind == "cup":
+        return g
+    u, v = sorted(draw(st.lists(
+        st.sampled_from(g.labels), min_size=2, max_size=2
+    )))
+    return PseudoGraph(g.labels, g.edges ^ {(u, v)})
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=_peel_cases())
+def test_peel_and_recognize_agree(g):
+    """Peel, which undoes the extension maps, and the recognizer give
+    the same verdict and, on yes, the same sequence; the word peel
+    reads off rebuilds the core in that order."""
+    got = recognize(g)
+    peeled = reference_peel(g.rows)
+    assert got.verdict == (peeled is not None), g
+    if peeled is None:
+        return
+    order, word = peeled
+    assert got.sequence == tuple(g.labels[i] for i in order)
+    at = {i: t for t, i in enumerate(order)}
+    core = tuple(
+        sum(1 << at[j - 1] for j in iter_support(g.rows[i])) for i in order
+    )
+    assert core == (generate.cup_from_choices(word).rows if order else ())
