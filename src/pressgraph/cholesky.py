@@ -7,7 +7,7 @@ those rows gives an upper-triangular matrix U with U^T U = A, the
 instructional Cholesky root of A.  It exists exactly when pressing the
 vertices in order empties the graph, and it is unique for that order.
 
-The greedy order below repeatedly presses a looped vertex of maximum
+The greedy order repeatedly presses a looped vertex of maximum
 degree (loop included), breaking ties toward the smaller label.  For a
 graph with exactly one successful pressing sequence the maximum is
 provably unique at every step, so an observed tie is a certificate of
@@ -17,17 +17,8 @@ non-uniqueness; the order records where the first one happened.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import compress
 
-from .gf2 import (
-    BitMatrix,
-    _defer,
-    _eliminate,
-    _flush,
-    _lanes,
-    _Record,
-    iter_support,
-)
+from .gf2 import BitMatrix, _eliminate, _greedy, _Record, iter_support
 from .graphs import PseudoGraph, _reach
 
 __all__ = [
@@ -141,93 +132,15 @@ def _root_rows(rows: list[int]) -> list[int]:
 def find_pressing_order(g: PseudoGraph) -> PressingOrder:
     """Greedy pressing order: max-degree looped vertex, smallest label first.
 
-    Runs the greedy core, _greedy, until no looped vertex remains.  If
+    Runs gf2's greedy core, _greedy, until no looped vertex remains.  If
     any edge survives, UnpressableError carries one leftover component.
     That failure certifies the graph is not uniquely pressable; it does
     not rule out a successful sequence along some other order.
     """
     labels = g.labels
-    order, _, first_tie, rows, alive = _greedy(g.rows, False)
-    if alive:
-        comp = iter_support(_reach(rows, rows[alive[0]]))
+    order, _, first_tie, rows = _greedy(g.rows, False)
+    if any(rows):
+        comp = iter_support(_reach(rows, next(filter(None, rows))))
         raise UnpressableError(tuple(labels[j - 1] for j in comp))
     return PressingOrder(tuple(labels[i] for i in order), first_tie)
 
-
-def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
-    """The one greedy loop, on bare symmetric rows pressed in a copy.
-
-    Returns ``(order, pivots, first_tie, rows, alive)``: the pressed
-    indices, each one's row just before its press, the 1-based step of
-    the first tie or None, the pressed copy and the indices still
-    nonzero.  ``alive`` is nonempty after a stall, or after
-    ``stop_at_tie`` stopped the loop at ``first_tie``, before pressing.
-
-    The scan reads only the looped rows, off the mask ``looped`` of
-    diagonal bits, kept as ``looped ^= pivot`` after each press.  That
-    is exact: a press of p XORs the pivot into the rows holding bit p,
-    which by symmetry are the rows i whose bit the pivot holds, so
-    each of their diagonals flips, row p's included, and no other.
-
-    Presses wait in gf2's table of pivot sums, the kernel ``_eliminate``
-    uses: row i stands for ``rows[i]`` XOR the table entry that byte i
-    of ``keys`` names.  The scan and the pivot read rows caught up that
-    way, and every return flushes first.  A pivot of more than 32 bits
-    joins the table, which flushes every row in one C-level pass when 8
-    wait.  A lighter one is XORed straight into the stale rows its
-    bits name: joining costs about what 30 to 60 such XORs cost (an
-    eighth of a flush and the table's doubling, at n = 128 to 2048).
-    Mixing the two is exact because presses commute as XORs: a press
-    adds its pivot to the rows holding bit p, which by symmetry are the
-    rows the pivot names, whatever pending terms they still owe.  So
-    either path leaves a row's caught-up value its start XOR every pivot
-    that named it, and a straight XOR leaves the pending terms as they
-    were.
-
-    With no tie and no stall, every nonzero row was pressed.  With no
-    stall every row ends at zero.  A row changes only when a pivot whose
-    bit it holds is XORed into it, and a press keeps the rows symmetric.
-    Were row v never pressed yet zeroed, then just before some press of
-    p != v row v held bit p and equalled row p; by symmetry row p held
-    bit v, so row v held bit v: v was looped with the degree of p, the
-    maximum, and the scan tied.
-    """
-    n = len(rows)
-    index = range(n)
-    rows = list(rows)
-    order: list[int] = []
-    pivots: list[int] = []
-    first_tie: int | None = None
-    table, keys = [0], 0
-    looped = sum(r & 1 << i for i, r in enumerate(rows))
-    while looped:
-        if not looped & looped - 1:
-            # One looped row, so no tie: most steps on census-sized
-            # graphs, where the scan's set-up would cost the most.
-            best = looped.bit_length() - 1
-        else:
-            best_deg = 0
-            tied = False
-            kb = keys.to_bytes(n, "little")
-            for i in compress(index, _lanes(looped)):
-                d = (rows[i] ^ table[kb[i]]).bit_count()
-                if d > best_deg:
-                    best, best_deg, tied = i, d, False
-                elif d == best_deg:
-                    tied = True
-            if tied and first_tie is None:
-                first_tie = len(order) + 1
-                if stop_at_tie:
-                    break
-        pivot = rows[best] ^ table[keys >> 8 * best & 255]
-        order.append(best)
-        pivots.append(pivot)
-        if pivot.bit_count() <= 32:
-            # _press's loop, inline: a call per press cost census-5 4%.
-            for i in compress(index, _lanes(pivot)):
-                rows[i] ^= pivot
-        else:
-            table, keys = _defer(rows, table, keys, pivot)
-        looped ^= pivot
-    _flush(rows, table, keys)
-    return order, pivots, first_tie, rows, list(compress(index, rows))

@@ -55,6 +55,9 @@ def _read_input(path: str) -> str:
 
 
 def _load_graph(text: str, fmt: str | None) -> PseudoGraph:
+    # parse_auto(text) is _read(text, None)[0], but tracing wraps the
+    # public parse_auto: calling _read here would leave the traced
+    # graphs.parse_auto span, and the parse time it reports, at zero.
     return _read(text, fmt)[0] if fmt else parse_auto(text)
 
 

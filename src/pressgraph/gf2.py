@@ -176,6 +176,84 @@ def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
     return pivots
 
 
+def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
+    """The one greedy loop, on bare symmetric rows pressed in a copy.
+
+    Returns ``(order, pivots, first_tie, rows)``: the pressed indices,
+    each one's row just before its press, the 1-based step of the first
+    tie or None, and the pressed copy.  Some row of the copy is nonzero
+    after a stall, or after ``stop_at_tie`` stopped the loop at
+    ``first_tie``, before pressing.
+
+    The scan reads only the looped rows, off the mask ``looped`` of
+    diagonal bits, kept as ``looped ^= pivot`` after each press.  That
+    is exact: a press of p XORs the pivot into the rows holding bit p,
+    which by symmetry are the rows i whose bit the pivot holds, so
+    each of their diagonals flips, row p's included, and no other.
+
+    Presses wait in ``_defer``'s pending state, as in ``_eliminate``.
+    The scan and the pivot read rows caught up with it, and every
+    return flushes first.  A pivot of more than 32 bits joins the
+    table, which flushes every row in one C-level pass when 8 wait.
+    A lighter one is XORed straight into the stale rows its bits
+    name: joining costs about what 30 to 60 such XORs cost (an
+    eighth of a flush and the table's doubling, at n = 128 to 2048).
+    Mixing the two is exact because presses commute as XORs: a press
+    adds its pivot to the rows holding bit p, which by symmetry are the
+    rows the pivot names, whatever pending terms they still owe.  So
+    either path leaves a row's caught-up value its start XOR every pivot
+    that named it, and a straight XOR leaves the pending terms as they
+    were.
+
+    With no tie and no stall, every nonzero row was pressed.  With no
+    stall every row ends at zero.  A row changes only when a pivot whose
+    bit it holds is XORed into it, and a press keeps the rows symmetric.
+    Were row v never pressed yet zeroed, then just before some press of
+    p != v row v held bit p and equalled row p; by symmetry row p held
+    bit v, so row v held bit v: v was looped with the degree of p, the
+    maximum, and the scan tied.
+    """
+    n = len(rows)
+    index = range(n)
+    rows = list(rows)
+    order: list[int] = []
+    pivots: list[int] = []
+    first_tie: int | None = None
+    table, keys = [0], 0
+    looped = sum(r & 1 << i for i, r in enumerate(rows))
+    while looped:
+        if not looped & looped - 1:
+            # One looped row, so no tie: most steps on census-sized
+            # graphs, where the scan's set-up would cost the most.
+            best = looped.bit_length() - 1
+        else:
+            best_deg = 0
+            tied = False
+            kb = keys.to_bytes(n, "little")
+            for i in compress(index, _lanes(looped)):
+                d = (rows[i] ^ table[kb[i]]).bit_count()
+                if d > best_deg:
+                    best, best_deg, tied = i, d, False
+                elif d == best_deg:
+                    tied = True
+            if tied and first_tie is None:
+                first_tie = len(order) + 1
+                if stop_at_tie:
+                    break
+        pivot = rows[best] ^ table[keys >> 8 * best & 255]
+        order.append(best)
+        pivots.append(pivot)
+        if pivot.bit_count() <= 32:
+            # _press's loop, inline: a call per press cost census-5 4%.
+            for i in compress(index, _lanes(pivot)):
+                rows[i] ^= pivot
+        else:
+            table, keys = _defer(rows, table, keys, pivot)
+        looped ^= pivot
+    _flush(rows, table, keys)
+    return order, pivots, first_tie, rows
+
+
 def _rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of packed rows, by a basis keyed by lowest bit."""
     basis: dict[int, int] = {}

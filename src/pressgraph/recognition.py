@@ -23,9 +23,9 @@ from functools import cache
 from itertools import compress
 from operator import not_
 
-from .gf2 import BitMatrix, _press, _rank, _Record, iter_support
+from .gf2 import BitMatrix, _greedy, _press, _rank, _Record, iter_support
 from .graphs import PseudoGraph, _reach
-from .cholesky import UnpressableError, _greedy
+from .cholesky import UnpressableError
 
 __all__ = [
     "PropertyReport",
@@ -53,39 +53,46 @@ class PropertyReport(_Record):
     """Outcome of the four column checks on an upper-triangular root.
 
     Each ``failN`` is the first witness column (1-based) when property N
-    fails, else None.  ``column_weights`` are the integer column sums.
+    fails, else None, and ``propN`` is True exactly when it is None.
+    ``column_weights`` are the integer column sums.
     """
 
-    __match_args__ = (
-        "prop1", "prop2", "prop3", "prop4",
-        "fail1", "fail2", "fail3", "fail4", "column_weights",
-    )
+    __match_args__ = ("fail1", "fail2", "fail3", "fail4", "column_weights")
 
     def __init__(
-        self, prop1: bool, prop2: bool, prop3: bool, prop4: bool,
-        fail1: int | None, fail2: int | None, fail3: int | None,
+        self, fail1: int | None, fail2: int | None, fail3: int | None,
         fail4: int | None, column_weights: tuple[int, ...],
     ) -> None:
         self.__dict__.update(
-            prop1=prop1, prop2=prop2, prop3=prop3, prop4=prop4,
             fail1=fail1, fail2=fail2, fail3=fail3, fail4=fail4,
             column_weights=column_weights,
         )
 
     @property
+    def prop1(self) -> bool:
+        return self.fail1 is None
+
+    @property
+    def prop2(self) -> bool:
+        return self.fail2 is None
+
+    @property
+    def prop3(self) -> bool:
+        return self.fail3 is None
+
+    @property
+    def prop4(self) -> bool:
+        return self.fail4 is None
+
+    @property
     def all_pass(self) -> bool:
-        return self.prop1 and self.prop2 and self.prop3 and self.prop4
+        return self.first_failure() is None
 
     def first_failure(self) -> tuple[int, int] | None:
         """Lowest failing property number with its witness column."""
-        for num, ok, col in (
-            (1, self.prop1, self.fail1),
-            (2, self.prop2, self.fail2),
-            (3, self.prop3, self.fail3),
-            (4, self.prop4, self.fail4),
-        ):
-            if not ok:
-                assert col is not None
+        fails = (self.fail1, self.fail2, self.fail3, self.fail4)
+        for num, col in enumerate(fails, 1):
+            if col is not None:
                 return num, col
         return None
 
@@ -95,7 +102,7 @@ def check_properties(u: BitMatrix) -> PropertyReport:
     if not u.is_upper_triangular():
         raise ValueError("matrix must be upper-triangular")
     fails, weights = _check_columns(u.row_bits, range(u.n))
-    return PropertyReport(*(f is None for f in fails), *fails, weights)
+    return PropertyReport(*fails, weights)
 
 
 def _check_columns(
@@ -237,10 +244,10 @@ def _decide(
     # Reached vertices have nonzero rows: connected iff the counts agree.
     if _reach(rows, first).bit_count() != len(rows) - rows.count(0):
         return REASON_MULTI_COMPONENT, None, [], ()
-    order, pivots, first_tie, _, alive = _greedy(rows, True)
+    order, pivots, first_tie, pressed = _greedy(rows, True)
     if first_tie is not None:
         return REASON_TIE, None, order, ()
-    if alive:
+    if any(pressed):
         return REASON_UNPRESSABLE, None, order, ()
     # With no tie and no stall every nonzero row was pressed (_greedy).
     fails, weights = _check_columns(pivots, order)

@@ -317,10 +317,11 @@ def reference_press(rows, p, live):
 def reference_greedy(rows, stop_at_tie):
     """The greedy core on bare rows, scanning a list of live rows.
 
-    A copy of cholesky._greedy from before it kept a mask of looped
+    A copy of the greedy core from before it kept a mask of looped
     rows and pressed through the pivot's bits, kept as an oracle for
-    both of its modes: the same ``(order, pivots, first_tie, rows,
-    alive)``, pressed by reference_press.
+    both modes of gf2._greedy: the same ``(order, pivots, first_tie,
+    rows)``, pressed by reference_press, then ``alive``, the indices of
+    the rows still nonzero.
     """
     n = len(rows)
     rows = list(rows)
@@ -356,7 +357,7 @@ def reference_greedy(rows, stop_at_tie):
 def reference_find_pressing_order(g, stop_at_tie=False):
     """The greedy order on a graph, through reference_greedy.
 
-    Kept as an oracle for both of cholesky._greedy's modes and for its
+    Kept as an oracle for both of gf2._greedy's modes and for its
     wrapper find_pressing_order.  Returns ``(permutation, complete,
     first_tie, pivot_rows)``: the pressed labels, False only when
     ``stop_at_tie`` stopped it at its first tie, the 1-based step of

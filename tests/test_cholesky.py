@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pressgraph import cholesky, generate, gf2
+from pressgraph import generate, gf2
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -262,8 +262,8 @@ def test_greedy_pivot_rows_are_the_root_in_graph_columns():
     graphs += list(all_pseudographs(3))
     graphs += [random_cup(n) for n in (16, 40)]
     for g in graphs:
-        order, pivots, _, _, alive = cholesky._greedy(g.rows, False)
-        if alive:
+        order, pivots, _, rows = gf2._greedy(g.rows, False)
+        if any(rows):
             continue
         assert len(pivots) == len(order)
         full = order + sorted(set(range(g.n)) - set(order))
@@ -303,28 +303,27 @@ def _stop_at_tie_graphs():
 def test_stop_at_tie_is_the_full_greedy_cut_at_its_first_tie():
     """_greedy(rows, True) is _greedy(rows, False) when nothing ties;
     else it stops at the first tie, before pressing, with the
-    first_tie - 1 presses made before it and rows still alive."""
+    first_tie - 1 presses made before it and rows still nonzero."""
     # A star pressed at its looped center loops both leaves with equal
     # degree: a tie at step 2, after one press of pivot row 0b111.
     star = PseudoGraph((1, 2, 3), frozenset({(1, 1), (1, 2), (1, 3)}))
-    order, pivots, tie, _, alive = cholesky._greedy(star.rows, True)
-    assert (order, pivots, tie, alive) == ([0], [0b111], 2, [1, 2])
+    order, pivots, tie, rows = gf2._greedy(star.rows, True)
+    assert (order, pivots, tie, rows) == ([0], [0b111], 2, [0, 0b110, 0b110])
     kinds = set()
     for g in _stop_at_tie_graphs():
-        full = cholesky._greedy(g.rows, False)
-        early = cholesky._greedy(g.rows, True)
-        order, pivots, tie, _, alive = full
+        full = gf2._greedy(g.rows, False)
+        early = gf2._greedy(g.rows, True)
+        order, pivots, tie, rows = full
         assert tie == naive_greedy(g)[1]
         if tie is None:
-            kinds.add("stall" if alive else "no tie")
+            kinds.add("stall" if any(rows) else "no tie")
             assert early == full
             continue
-        kinds.add("tie, then stall" if alive else "tie")
-        e_order, e_pivots, e_tie, e_rows, e_alive = early
+        kinds.add("tie, then stall" if any(rows) else "tie")
+        e_order, e_pivots, e_tie, e_rows = early
         assert e_tie == tie
         assert (e_order, e_pivots) == (order[: tie - 1], pivots[: tie - 1])
-        assert e_alive == [i for i, r in enumerate(e_rows) if r]
-        assert e_alive
+        assert any(e_rows)
         # Each pivot row against the state it was read off.
         state = g
         for i, row in zip(e_order, e_pivots):
@@ -347,7 +346,8 @@ def test_greedy_matches_the_inline_reference():
     kinds = set()
     for g in graphs:
         for stop in (False, True):
-            order, pivots, tie, _, alive = cholesky._greedy(g.rows, stop)
+            order, pivots, tie, rows = gf2._greedy(g.rows, stop)
+            alive = any(rows)
             try:
                 want = reference_find_pressing_order(g, stop)
             except UnpressableError:
@@ -371,13 +371,13 @@ def test_greedy_matches_the_inline_reference():
 
 def test_greedy_equals_the_live_list_greedy_on_every_graph_up_to_five():
     """_greedy, scanning a loop mask and pressing through the pivot's
-    bits, returns reference_greedy's 5-tuple in both modes on every
-    graph with n <= 5."""
+    bits, returns the first four fields of reference_greedy in both
+    modes on every graph with n <= 5."""
     for n in range(6):
         for rows in generate._mask_rows(n, 0, 1 << n * (n + 1) // 2):
             for stop in (False, True):
-                got = cholesky._greedy(rows, stop)
-                assert got == reference_greedy(rows, stop), (rows, stop)
+                got = gf2._greedy(rows, stop)
+                assert got == reference_greedy(rows, stop)[:4], (rows, stop)
 
 
 @st.composite
@@ -419,13 +419,13 @@ def test_greedy_equals_the_live_list_greedy_on_random_rows(rows):
     """The same on random symmetric rows up to n = 64, mirrored graphs
     that tie at the first step and nearly cup graphs among them."""
     for stop in (False, True):
-        assert cholesky._greedy(rows, stop) == reference_greedy(rows, stop)
+        assert gf2._greedy(rows, stop) == reference_greedy(rows, stop)[:4]
 
 
 def _watched_greedy(monkeypatch, rows, stop):
     """_greedy(rows, stop) with its table of pending presses watched.
 
-    Returns the 5-tuple and ``(flushes, pending, mixed)``: how often a
+    Returns the 4-tuple and ``(flushes, pending, mixed)``: how often a
     full table flushed, how many pivots still waited at the return, and
     whether a pivot pressed straight into its rows came while others
     waited.  The pivots of one run are distinct (each holds its own
@@ -433,21 +433,22 @@ def _watched_greedy(monkeypatch, rows, stop):
     mark the rest as pressed straight.
     """
     joined, flushes, pending = set(), [], []
+    real_defer, real_flush = gf2._defer, gf2._flush
 
     def defer(rows, table, keys, piv):
         joined.add(piv)
-        table, keys = gf2._defer(rows, table, keys, piv)
+        table, keys = real_defer(rows, table, keys, piv)
         flushes.append(keys == 0)
         return table, keys
 
     def flush(rows, table, keys):
         pending.append(len(table).bit_length() - 1)
-        gf2._flush(rows, table, keys)
+        real_flush(rows, table, keys)
 
     with monkeypatch.context() as m:
-        m.setattr(cholesky, "_defer", defer)
-        m.setattr(cholesky, "_flush", flush)
-        got = cholesky._greedy(rows, stop)
+        m.setattr(gf2, "_defer", defer)
+        m.setattr(gf2, "_flush", flush)
+        got = gf2._greedy(rows, stop)
     waiting, mixed = 0, False
     for piv in got[1]:
         if piv in joined:
@@ -458,10 +459,10 @@ def _watched_greedy(monkeypatch, rows, stop):
 
 
 def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
-    """Past the sizes the hypothesis rows reach, _greedy returns
-    reference_greedy's 5-tuple in both modes, and find_pressing_order
-    names reference_find_pressing_order's component on a stall.  The
-    seeded cases cross full-table flushes, press light pivots straight
+    """Past the sizes the hypothesis rows reach, _greedy returns the
+    first four fields of reference_greedy in both modes, and
+    find_pressing_order names reference_find_pressing_order's component
+    on a stall.  The seeded cases cross full-table flushes, press light pivots straight
     while heavy ones wait, and tie in stop mode and stall with pivots
     still waiting: cups with up to two pairs toggled, and sparse random
     graphs, which tie early and mostly stall."""
@@ -482,15 +483,15 @@ def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
             got, (flushes, pending, mixed) = _watched_greedy(
                 monkeypatch, rows, stop
             )
-            assert got == reference_greedy(rows, stop), (seed, stop)
-            _, _, tie, _, alive = got
+            assert got == reference_greedy(rows, stop)[:4], (seed, stop)
+            _, _, tie, pressed = got
             if flushes:
                 seen.add("flush")
             if mixed:
                 seen.add("mixed")
             if stop and tie is not None and pending:
                 seen.add("tie, pending")
-            if alive and not stop and pending:
+            if any(pressed) and not stop and pending:
                 seen.add("stall, pending")
         g = from_adjacency(BitMatrix(n, rows))
         try:
@@ -526,7 +527,7 @@ def test_cup56_fixture_flushes_the_table_and_keeps_its_sequence(
     g = g.relabel(dict(zip(g.labels, random.Random(45).sample(g.labels, 56))))
     assert path.read_text() == g.to_text()
     got, (flushes, pending, _) = _watched_greedy(monkeypatch, g.rows, True)
-    assert got == reference_greedy(g.rows, True)
+    assert got == reference_greedy(g.rows, True)[:4]
     assert flushes >= 1 and pending > 0
     code, out, err = run_cli(["recognize", str(path)])
     assert (code, out, err) == (

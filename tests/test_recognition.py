@@ -1,6 +1,7 @@
 """Unit tests for the property check, the pipeline, and the oracles."""
 
 import itertools
+import pickle
 import random
 from pathlib import Path
 
@@ -8,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pressgraph import cholesky, generate, recognition
+from pressgraph import generate, gf2, recognition
 from pressgraph import (
     BitMatrix,
     OracleBoundError,
+    PropertyReport,
     PseudoGraph,
     REASON_MULTI_COMPONENT,
     REASON_TIE,
@@ -147,6 +149,32 @@ def test_properties_empty_matrix():
     assert rep.column_weights == ()
 
 
+def test_property_report_reads_each_verdict_off_its_failure():
+    """On all 16 patterns of failed properties, each with its own
+    witness column: propN holds exactly when failN is None, all_pass
+    when none fails, first_failure names the lowest failure, and the
+    reports are distinct records that survive pickle."""
+    reports = set()
+    for pattern in range(16):
+        fails = [n + 2 if pattern >> n & 1 else None for n in range(4)]
+        rep = PropertyReport(*fails, (1, 2))
+        props = (rep.prop1, rep.prop2, rep.prop3, rep.prop4)
+        assert props == tuple(f is None for f in fails)
+        assert (rep.fail1, rep.fail2, rep.fail3, rep.fail4) == tuple(fails)
+        assert rep.all_pass is (pattern == 0)
+        low = (pattern & -pattern).bit_length()
+        assert rep.first_failure() == (
+            (low, low + 1) if pattern else None
+        )
+        twin = PropertyReport(*fails, (1, 2))
+        assert rep == twin and hash(rep) == hash((*fails, (1, 2)))
+        back = pickle.loads(pickle.dumps(rep))
+        assert back == rep and hash(back) == hash(rep)
+        assert (back.prop1, back.prop2, back.prop3, back.prop4) == props
+        reports.add(rep)
+    assert len(reports) == 16
+
+
 def test_properties_hereditary_on_generated_roots():
     """Every leading principal block of a passing root passes too."""
     for n in range(1, 13):
@@ -274,7 +302,7 @@ def test_recognize_presses_nothing_past_the_first_tie():
             assert g is not mirror
             continue
         tie = naive_greedy(g)[1]
-        order, _, first_tie, rows, _ = cholesky._greedy(g.rows, True)
+        order, _, first_tie, rows = gf2._greedy(g.rows, True)
         assert first_tie == tie and len(order) == tie - 1
         want = list(g.rows)
         for p in order:
@@ -610,8 +638,8 @@ def test_check_columns_matches_the_reference_on_every_greedy_root():
     that _decide checks give the reference's failures and weights."""
     checked = 0
     for rows in generate._mask_rows(5, 0, 1 << 15):
-        order, pivots, first_tie, _, alive = cholesky._greedy(rows, True)
-        if first_tie is None and not alive:
+        order, pivots, first_tie, pressed = gf2._greedy(rows, True)
+        if first_tie is None and not any(pressed):
             assert recognition._check_columns(pivots, order) == (
                 reference_check_columns(pivots, order)
             ), rows
@@ -629,8 +657,8 @@ def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
     cups with a few flipped pairs, up to n = 60."""
 
     def check(rows):
-        order, _, first_tie, _, alive = cholesky._greedy(rows, True)
-        if first_tie is not None or alive:
+        order, _, first_tie, pressed = gf2._greedy(rows, True)
+        if first_tie is not None or any(pressed):
             return 0
         assert set(order) == {i for i, r in enumerate(rows) if r}, rows
         return 1
