@@ -97,6 +97,23 @@ def _sequence_arg(raw: str) -> tuple[int, ...]:
         ) from None
 
 
+def _int_arg(raw: str) -> int:
+    """An integer argument: each N, --jobs and --oracle-bound.
+
+    Its error quotes at most 80 characters of the token.  A longer token
+    is refused as well, so that no message which prints the value, such
+    as a bound it exceeds, runs longer either.
+    """
+    try:
+        if len(raw) > 80:
+            raise ValueError
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at most 80 characters, got {_echo(raw)}"
+        ) from None
+
+
 def _cmd_recognize(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
     bound = args.oracle_bound
@@ -207,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     graph_input(p)
     p.add_argument(
         "--oracle-bound",
-        type=int,
+        type=_int_arg,
         metavar="N",
         help="also count sequences by brute force, for graphs up to N "
         f"vertices (at most {ORACLE_MAX_N})",
@@ -240,11 +257,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "generate", help="all uniquely pressable graphs on 1..n, in order"
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("count", help="closed-form counts for n vertices")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser(
@@ -252,16 +269,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="count the n-vertex graphs with one successful pressing "
         "sequence, from the definition",
     )
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_arg)
     p.add_argument(
         "--oracle-bound",
-        type=int,
+        type=_int_arg,
         default=5,
         metavar="N",
         help="largest n the census will accept (default 5)",
     )
     p.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="worker processes"
+        "--jobs",
+        type=_int_arg,
+        default=1,
+        metavar="N",
+        help="worker processes",
     )
     p.set_defaults(func=_cmd_census)
 

@@ -21,6 +21,7 @@ generate_cup, counted by cup_count.
 
 from __future__ import annotations
 
+import _random
 import itertools
 import os
 from collections.abc import Iterable, Iterator, Sequence
@@ -175,8 +176,14 @@ def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
     return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), rows)
 
 
-def random_cup(n: int, rng: random.Random | None = None) -> PseudoGraph:
-    """A pseudo-random cup graph on n vertices (not uniform over them)."""
+def random_cup(n: int, rng: _random.Random | None = None) -> PseudoGraph:
+    """A pseudo-random cup graph on n vertices (not uniform over them).
+
+    ``rng`` is a ``random.Random``, by default the random module's own.
+    Its annotation names the C base class of ``random.Random``, so that
+    ``typing.get_type_hints`` resolves it while the random module stays
+    out of every command's start-up.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     if rng is None:

@@ -6,11 +6,13 @@ failure, 2 for parse or usage errors.
 
 import argparse
 import hashlib
+import inspect
 import multiprocessing
 import os
 import random
 import subprocess
 import sys
+import typing
 import weakref
 from pathlib import Path
 from unittest import mock
@@ -287,6 +289,41 @@ def test_error_messages_cap_the_echoed_input(site, length):
     code, out, err = run_cli(argv, stdin=stdin)
     assert (code, out) == (2, "")
     assert err.endswith(f"{head}, got {quoted(bad)}\n")
+    assert len(err) < 500
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["9" * 81, "9" * 5000, "x" * 5000],
+    ids=["81 digits", "5000 digits", "5000 letters"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "{}"],
+        ["generate", "{}"],
+        ["census", "{}"],
+        ["census", "3", "--jobs", "{}"],
+        ["census", "3", "--oracle-bound", "{}"],
+        ["recognize", "--oracle-bound", "{}", CUP2],
+    ],
+    ids=[
+        "count",
+        "generate",
+        "census",
+        "census --jobs",
+        "census --oracle-bound",
+        "recognize --oracle-bound",
+    ],
+)
+def test_integer_arguments_cap_the_echoed_token(argv, token):
+    """Each integer argument quotes at most 80 characters of a bad
+    token, then an ellipsis and its length, and refuses a token longer
+    than 80 characters even when it spells an integer."""
+    code, out, err = run_cli([a.format(token) for a in argv])
+    assert (code, out) == (2, "")
+    want = f"expected an integer of at most 80 characters, got {quoted(token)}"
+    assert err.endswith(want + "\n")
     assert len(err) < 500
 
 
@@ -852,6 +889,28 @@ def test_package_exports_the_modules_public_names():
     assert others == set(names) - {"__version__"}
 
 
+def test_type_hints_resolve_on_every_public_callable():
+    """typing.get_type_hints resolves on every function and class in
+    pressgraph.__all__, and on the functions and property getters each
+    class defines: no annotation names a module that only a function
+    body imports (random_cup's rng once named random.Random)."""
+    checked = []
+    for name in pressgraph.__all__:
+        obj = getattr(pressgraph, name)
+        if isinstance(obj, type):
+            members = [
+                getattr(m, "fget", getattr(m, "__func__", m))
+                for m in vars(obj).values()
+            ]
+            checked += [obj, *filter(inspect.isfunction, members)]
+        elif inspect.isfunction(obj):
+            checked.append(obj)
+    assert pressgraph.random_cup in checked
+    assert pressgraph.PseudoGraph.press in checked
+    for obj in checked:
+        typing.get_type_hints(obj)
+
+
 def test_outputs_are_stable_across_runs():
     corpus = [
         ["recognize", CUP2],
@@ -1019,18 +1078,28 @@ _OVER_CAP = {
 }
 
 
+# Integer tokens of 80 characters and more: the longest accepted one
+# (3), then a number and a word too long to echo whole, the second
+# past the interpreter's limit on int() of a decimal string.
+_OVERSIZED = ("0" * 79 + "3", "9" * 81, "9" * 5000, "x" * 5000)
+
+
 @st.composite
 def _size_commands(draw):
     command = draw(st.sampled_from(sorted(_OVER_CAP)))
     fixed = ["-1", "-7", "1.5", "1e3", "0x3", "٣", "", " 4 "]
     fixed += [str(n) for n in range(6)]
     fixed += [str(n) for n in _OVER_CAP[command]]
+    fixed += _OVERSIZED
     free = st.text(max_size=8).filter(_neither_int_nor_flag)
     token = draw(st.one_of(st.sampled_from(fixed), free))
     argv = [command, token]
     if command == "census" and draw(st.booleans()):
+        bounds = ("x", "-1", "1", "5") + _OVERSIZED
+        argv += ["--oracle-bound", draw(st.sampled_from(bounds))]
+    if command == "census" and draw(st.booleans()):
         jobs = ("x", "1.5", "", "0", "-1", "-3", "1", "2", "3", "4")
-        argv += ["--jobs", draw(st.sampled_from(jobs))]
+        argv += ["--jobs", draw(st.sampled_from(jobs + _OVERSIZED))]
     return argv
 
 
@@ -1038,9 +1107,10 @@ def _size_commands(draw):
 @given(argv=_size_commands())
 def test_fuzzed_sizes_keep_the_exit_contract(argv):
     """count, census and generate on any n token, and census on any
-    --jobs token, end in exit 0, 1 or 2 and never in an exception; exit
-    2 prints nothing on stdout.  A stand-in Pool maps in this process,
-    so no worker starts, and records its size: never above --jobs."""
+    --oracle-bound and --jobs token, end in exit 0, 1 or 2 and never in
+    an exception; exit 2 prints nothing on stdout, and no token of any
+    length makes stderr long.  A stand-in Pool maps in this process, so
+    no worker starts, and records its size: never above --jobs."""
     sizes = []
 
     class InlinePool:
@@ -1057,10 +1127,11 @@ def test_fuzzed_sizes_keep_the_exit_contract(argv):
             return list(map(fn, items))
 
     with mock.patch.object(multiprocessing, "Pool", InlinePool):
-        code, out, _ = run_cli(argv)
+        code, out, err = run_cli(argv)
     assert code in (0, 1, 2)
     if code == 2:
         assert out == ""
+    assert len(err) < 500
     if sizes:
         (size,) = sizes
         assert code == 0 and 2 <= size <= min(int(argv[-1]), os.cpu_count())

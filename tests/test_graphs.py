@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -514,6 +516,7 @@ def _outcome(parse, text):
 @example("99999\n1 2\n1 2\n")
 @example("x1" * 60 + "\n1 2\n")
 @example("2\n1 2\n" + "7" * 81 + "\n")
+@example(_late_corruption("none"))
 @example(_late_corruption("crlf"))
 @example(_late_corruption("unknown label"))
 @example(_late_corruption("missing endpoint"))
@@ -569,3 +572,78 @@ def test_the_to_text_layout_never_reaches_the_line_loop():
         for g in cases:
             assert parse_graph(g.to_text()) == g
             assert parse_auto(g.to_text()) == g
+
+
+def _dense(text):
+    """True when parse_graph reads text's chunks into byte lanes."""
+    n = int(text.split("\n", 1)[0])
+    return n * n <= graphs._DENSE * len(text)
+
+
+def _at_the_gate(n, rng):
+    """to_text() of two graphs on n labels with gaps, the first just
+    inside the dense gate and the second, one edge fewer, just outside."""
+    labels = tuple(sorted(rng.sample(range(1, 3 * n + 2), n)))
+    pairs = [(u, v) for u in labels for v in labels if u <= v]
+    rng.shuffle(pairs)
+
+    def text(k):
+        return PseudoGraph(labels, pairs[:k]).to_text()
+
+    lo, hi = 0, len(pairs)
+    assert _dense(text(hi)) and not _dense(text(lo))
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _dense(text(mid)) else (mid + 1, hi)
+    return text(lo), text(lo - 1)
+
+
+@pytest.mark.parametrize("n", (8, 64, 300))
+def test_the_gate_builds_lanes_for_dense_text_only(n):
+    """Texts just inside and just outside n * n <= _DENSE * len(text)
+    parse equal to the set-based reference.  Only the one inside builds
+    byte lanes; its CRLF copy, dense too, goes to the line loop at its
+    first chunk and builds none."""
+    inside, outside = _at_the_gate(n, random.Random(n))
+    crlf = inside.replace("\n", "\r\n")
+    assert _dense(crlf)
+    for text, lanes in ((inside, True), (outside, False), (crlf, False)):
+        with mock.patch.object(
+            graphs, "bytearray", wraps=bytearray, create=True
+        ) as made:
+            g = parse_graph(text)
+        assert g == reference_parse_graph(text)
+        assert made.called == lanes
+
+
+@pytest.mark.parametrize(
+    "n, edges", [(graphs.GRAPH_MAX_N, ""), (8192, "1 1\n")]
+)
+def test_sparse_text_at_large_n_builds_no_lanes(n, edges):
+    """An edgeless text at the vertex bound, and one with a single loop,
+    parse with a traced peak far below the n * n bytes of byte lanes:
+    a gate that is dropped or inverted would build them for the loop."""
+    text = f"{n}\n{' '.join(map(str, range(1, n + 1)))}\n{edges}"
+    assert not _dense(text)
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == reference_parse_graph(text)
+    assert peak < n * n // 16
+
+
+def test_the_dense_fixture_reads_alike_through_lanes_and_the_line_loop():
+    """tests/data/mirror16.graph, which CI reads by path (LF) and from
+    standard input with CRLF line ends, is dense: its LF text is read
+    whole through byte lanes, and its CRLF copy through the line loop,
+    to the same graph."""
+    text = (Path(__file__).parent / "data" / "mirror16.graph").read_text()
+    assert _dense(text)
+    line_loop = mock.Mock(side_effect=AssertionError("line loop reached"))
+    with mock.patch.object(graphs, "_edge_lines", line_loop):
+        g = parse_graph(text)
+    assert g.to_text() == text
+    assert parse_graph(text.replace("\n", "\r\n")) == g
