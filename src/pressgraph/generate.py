@@ -24,18 +24,17 @@ from __future__ import annotations
 import _random
 import itertools
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from operator import itemgetter, or_, xor
 
 from .gf2 import _Record, iter_support
-from .graphs import PseudoGraph, _increasing
+from .graphs import PseudoGraph
 from .recognition import OracleBoundError, _decide
 
 __all__ = [
     "NotUniquelyPressableError",
     "extend_right",
     "extend_left",
-    "shift_labels",
     "generate_cup",
     "cup_from_choices",
     "random_cup",
@@ -50,12 +49,6 @@ __all__ = [
 
 class NotUniquelyPressableError(ValueError):
     """The input graph is not a canonically labeled cup graph."""
-
-
-def _is_cup_form(rows: Sequence[int]) -> bool:
-    """True when rows on labels 1..n are pressed uniquely in that order."""
-    reason, _, order, _ = _decide(rows)
-    return bool(rows) and reason is None and order == list(range(len(rows)))
 
 
 def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
@@ -84,54 +77,36 @@ def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
     raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
 
 
-def shift_labels(g: PseudoGraph, offset: int = 1) -> PseudoGraph:
-    """Relabel every vertex by adding offset (labels must stay positive)."""
-    labels = tuple(lab + offset for lab in g.labels)
-    if not _increasing(labels):
-        raise ValueError(
-            "labels must be strictly increasing positive integers"
-        )
-    return PseudoGraph._from_rows(labels, g.rows)
-
-
-def extend_right(g: PseudoGraph, check: bool = True) -> PseudoGraph:
+def extend_right(g: PseudoGraph) -> PseudoGraph:
     """Grow a cup graph on 1..n into one on 1..n+1, pressed last.
 
     The new vertex n+1 is joined to every looped vertex of g and gets a
-    loop exactly when n is even.  With check=True the input must be a
-    cup graph, which guarantees the output is one too.
+    loop exactly when n is even.
     """
-    return _extend_checked(
-        g, check, "R", 1, "labels must be 1..n",
-        "input is not a canonically labeled uniquely pressable graph",
-    )
+    return _extend_checked(g, "R")
 
 
-def extend_left(g: PseudoGraph, check: bool = True) -> PseudoGraph:
-    """Grow a shifted cup graph on 2..n+1 into one on 1..n+1.
+def extend_left(g: PseudoGraph) -> PseudoGraph:
+    """Grow a cup graph on 1..n into one on 1..n+1, pressed first.
 
-    The input must already carry labels 2..n+1 (see shift_labels).  All
-    pairs inside its looped set are toggled, then a new looped vertex 1
-    is joined to exactly the vertices that were looped.  Pressing 1 in
-    the result restores g, so the new vertex is pressed first.  With
-    check=True the input, shifted back down, must be a cup graph.
+    Old vertex i becomes i+1.  All pairs inside the looped set are
+    toggled, then a new looped vertex 1 is joined to exactly the
+    vertices that were looped.  Pressing 1 in the result restores g,
+    shifted up by one.
     """
-    return _extend_checked(
-        g, check, "L", 2, "labels must be 2..n+1",
-        "input is not a shifted canonically labeled uniquely pressable graph",
-    )
+    return _extend_checked(g, "L")
 
 
-def _extend_checked(
-    g: PseudoGraph, check: bool, c: str, first: int, label_error: str,
-    cup_error: str,
-) -> PseudoGraph:
-    """Map c on g, whose labels must start at first, onto labels 1..n+1."""
+def _extend_checked(g: PseudoGraph, c: str) -> PseudoGraph:
+    """Map c on g, a cup graph on 1..n (checked), onto a cup on 1..n+1."""
     n = g.n
-    if g.labels != tuple(range(first, first + n)):
-        raise ValueError(label_error)
-    if check and not _is_cup_form(g.rows):
-        raise NotUniquelyPressableError(cup_error)
+    if g.labels != tuple(range(1, n + 1)):
+        raise ValueError("labels must be 1..n")
+    reason, _, order, _ = _decide(g.rows)
+    if not n or reason is not None or order != list(range(n)):
+        raise NotUniquelyPressableError(
+            "input is not a canonically labeled uniquely pressable graph"
+        )
     looped = sum(1 << i for i, r in enumerate(g.rows) if r >> i & 1)
     rows, _ = _extend(list(g.rows), looped, c)
     return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)

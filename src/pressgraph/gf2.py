@@ -72,10 +72,12 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _echo(text: str) -> str:
-    """``repr`` of ``text`` for an error message, cut after 80 characters."""
+def _echo(value: str | int) -> str:
+    """``repr`` of a text, or a number in decimal, for an error message,
+    cut after 80 characters."""
+    text = str(value)
     cut = f"... ({len(text)} characters)" if len(text) > 80 else ""
-    return repr(text[:80]) + cut
+    return (repr if isinstance(value, str) else str)(text[:80]) + cut
 
 
 def _mask(width: int) -> int:
@@ -113,8 +115,9 @@ def _press(rows: list[int], p: int) -> None:
     one C-level ``compress`` over its lanes.  This is both a press of
     looped vertex ``p`` and a GF(2) Cholesky elimination step; row
     ``p`` holds its own bit, so it is cleared too.  It serves brute
-    force, which presses each state of its search once; the greedy and
-    the fixed orders defer their presses through ``_defer``.
+    force, which presses each state of its search once.  The greedy
+    XORs pivots of 32 bits or fewer by an inline copy of this loop;
+    heavier ones, and the fixed orders, wait in ``_defer``.
     """
     piv = rows[p]
     for i in compress(range(len(rows)), _lanes(piv)):
@@ -353,10 +356,6 @@ class BitMatrix(_Record):
         return cls(n, (0,) * n)
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BitMatrix":
         """Build from a square list-of-lists of 0/1 entries."""
         n = len(rows)
@@ -399,9 +398,6 @@ class BitMatrix(_Record):
                 return False
         return True
 
-    def to_dense(self) -> list[list[int]]:
-        return [BitRow(self.n, r).values() for r in self.row_bits]
-
     def to_text(self) -> str:
         """Serialize to the shared matrix text format.
 
@@ -425,7 +421,7 @@ class BitMatrix(_Record):
                 f"line 1: expected an integer size, got {_echo(lines[0])}"
             ) from None
         if n < 0:
-            raise MatrixFormatError(f"line 1: negative size {n}")
+            raise MatrixFormatError(f"line 1: negative size {_echo(n)}")
         rows = []
         for i in range(n):
             ln = i + 2
@@ -436,7 +432,7 @@ class BitMatrix(_Record):
             # also take "_", "+" and inner spaces.
             if len(raw) != n or raw.strip("01"):
                 raise MatrixFormatError(
-                    f"line {ln}: expected {n} characters from {{0,1}}"
+                    f"line {ln}: expected {_echo(n)} characters from {{0,1}}"
                 )
             rows.append(int(raw[::-1], 2))
         for ln, extra in enumerate(lines[n + 1 :], n + 2):

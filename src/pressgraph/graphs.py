@@ -138,9 +138,6 @@ class PseudoGraph(_Record):
         except ValueError:
             raise UnknownVertexError(f"no vertex labeled {v}") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[self._index(u)] >> self._index(v) & 1)
-
     def is_looped(self, v: int) -> bool:
         i = self._index(v)
         return bool(self.rows[i] >> i & 1)
@@ -324,7 +321,7 @@ def _parse_count(lines: list[str]) -> int:
             f"line 1: expected an integer count, got {_echo(lines[0])}"
         ) from None
     if n < 0:
-        raise GraphFormatError(f"line 1: negative vertex count {n}")
+        raise GraphFormatError(f"line 1: negative vertex count {_echo(n)}")
     return n
 
 
@@ -374,7 +371,7 @@ def parse_graph(text: str) -> PseudoGraph:
     n = _parse_count(lines)
     if n > GRAPH_MAX_N:
         raise GraphFormatError(
-            f"line 1: vertex count {n} exceeds bound {GRAPH_MAX_N}"
+            f"line 1: vertex count {_echo(n)} exceeds bound {GRAPH_MAX_N}"
         )
     if n > 0 and len(lines) < 2:
         raise GraphFormatError("line 2: expected the label line")

@@ -96,6 +96,13 @@ def naive_press(g, v):
     return PseudoGraph(g.labels, edges ^ toggle)
 
 
+def shifted(g):
+    """g with every label raised by one, on edge sets."""
+    return PseudoGraph(
+        [v + 1 for v in g.labels], {(u + 1, v + 1) for u, v in g.edges}
+    )
+
+
 def reference_extend_right(g):
     """The append map R by its definition, on edge sets.
 
@@ -115,9 +122,10 @@ def reference_extend_left(g):
     """The prepend map L by its definition, on edge sets.
 
     A copy of extend_left's body from before the two maps moved onto
-    adjacency rows, kept as an oracle: on labels 2..n+1, every pair
-    inside the looped set is toggled, loops included, then a new looped
-    vertex 1 is joined to the vertices that were looped.
+    adjacency rows, kept as an oracle: on labels 2..n+1 (``shifted``
+    lifts a graph on 1..n there), every pair inside the looped set is
+    toggled, loops included, then a new looped vertex 1 is joined to the
+    vertices that were looped.
     """
     looped = sorted(g.looped_vertices())
     toggle = set(itertools.combinations_with_replacement(looped, 2))
@@ -200,12 +208,15 @@ def exactly(message):
     return f"^{re.escape(message)}$"
 
 
-def quoted(text):
-    """An input as error messages quote it: whole up to 80 characters,
-    else its first 80 characters, an ellipsis and its length."""
+def quoted(value):
+    """An input as error messages quote it, a text by repr and a number
+    in decimal: whole up to 80 characters, else its first 80 characters,
+    an ellipsis and its length."""
+    text = str(value)
+    show = repr if isinstance(value, str) else str
     if len(text) <= 80:
-        return repr(text)
-    return f"{text[:80]!r}... ({len(text)} characters)"
+        return show(text)
+    return f"{show(text[:80])}... ({len(text)} characters)"
 
 
 def reference_parse_graph(text):
@@ -227,10 +238,10 @@ def reference_parse_graph(text):
             f"line 1: expected an integer count, got {quoted(lines[0])}"
         ) from None
     if n < 0:
-        raise GraphFormatError(f"line 1: negative vertex count {n}")
+        raise GraphFormatError(f"line 1: negative vertex count {quoted(n)}")
     if n > GRAPH_MAX_N:
         raise GraphFormatError(
-            f"line 1: vertex count {n} exceeds bound {GRAPH_MAX_N}"
+            f"line 1: vertex count {quoted(n)} exceeds bound {GRAPH_MAX_N}"
         )
     if n > 0 and len(lines) < 2:
         raise GraphFormatError("line 2: expected the label line")
@@ -435,7 +446,7 @@ def reference_matrix_from_text(text):
             f"line 1: expected an integer size, got {quoted(lines[0])}"
         ) from None
     if n < 0:
-        raise MatrixFormatError(f"line 1: negative size {n}")
+        raise MatrixFormatError(f"line 1: negative size {quoted(n)}")
     rows = []
     for i in range(n):
         ln = i + 2
@@ -444,7 +455,7 @@ def reference_matrix_from_text(text):
         raw = lines[i + 1].strip()
         if len(raw) != n or any(c not in "01" for c in raw):
             raise MatrixFormatError(
-                f"line {ln}: expected {n} characters from {{0,1}}"
+                f"line {ln}: expected {quoted(n)} characters from {{0,1}}"
             )
         bits = 0
         for j, c in enumerate(raw):
@@ -491,11 +502,9 @@ def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
     for _ in range(n - 1):
         seen: dict[tuple[int, ...], PseudoGraph] = {}
         for g in current:
-            labels = [v + 1 for v in g.labels]
-            shifted = PseudoGraph(labels, {(u + 1, v + 1) for u, v in g.edges})
             for h in (
                 reference_extend_right(g),
-                reference_extend_left(shifted),
+                reference_extend_left(shifted(g)),
             ):
                 seen[h.rows] = h
         current = list(seen.values())

@@ -187,6 +187,43 @@ def test_graph_text_vertex_bound():
     assert f"line 1: vertex count {n + 1} exceeds bound {n}" in err
 
 
+@pytest.mark.parametrize("digits", [80, 81, 4000])
+@pytest.mark.parametrize("fmt", ["graph", "matrix"])
+def test_oversized_counts_cap_the_echoed_count(fmt, digits):
+    """A declared count too large for the graph bound, or for the
+    matrix row after it, is echoed whole up to 80 characters, as it
+    always was, and cut after them like any other quoted input: the
+    message names its line, stays short and exits 2."""
+    count = "9" * digits
+    shown = quoted(int(count))
+    assert (shown == count) == (digits <= 80)
+    if fmt == "graph":
+        want = f"line 1: vertex count {shown} exceeds bound {GRAPH_MAX_N}"
+    else:
+        want = f"line 2: expected {shown} characters from {{0,1}}"
+    code, out, err = run_cli(
+        ["recognize", "--format", fmt, "-"], stdin=f"{count}\n1\n"
+    )
+    assert (code, out, err) == (2, "", f"error: {want}\n")
+    assert len(err.encode()) < 200
+    code, out, err = run_cli(
+        ["recognize", "--format", fmt, "-"], stdin=f"-{count}\n"
+    )
+    assert (code, out) == (2, "") and err.startswith("error: line 1: negative")
+    assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize(
+    "fmt, body", [("graph", "1 2\n1 1\n1 2\n"), ("matrix", "11\n10\n")]
+)
+def test_a_long_count_that_fits_still_parses(fmt, body):
+    """A count spelled with 100 leading zeros is read as its value."""
+    code, out, err = run_cli(
+        ["recognize", "--format", fmt, "-"], stdin="0" * 100 + "2\n" + body
+    )
+    assert (code, out, err) == (0, "verdict: yes\nsequence: 1 2\n", "")
+
+
 def test_recognize_missing_file():
     code, _, err = run_cli(["recognize", "/no/such/file.graph"])
     assert code == 2

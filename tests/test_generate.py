@@ -16,6 +16,7 @@ from conftest import (
     reference_generate_cup,
     reference_peel,
     reference_press,
+    shifted,
 )
 from pressgraph import generate, recognition
 from pressgraph import (
@@ -38,7 +39,6 @@ from pressgraph import (
     pressing_length,
     random_cup,
     recognize,
-    shift_labels,
     total_count,
     transpose_mul,
     UnpressableError,
@@ -59,17 +59,25 @@ def test_extend_right_goldens(cup2):
 
 
 def test_extend_left_goldens(cup2):
-    assert extend_left(shift_labels(K1_LOOP)) == cup2
-    assert extend_left(shift_labels(cup2)) == PseudoGraph(
+    assert extend_left(K1_LOOP) == cup2
+    assert extend_left(cup2) == PseudoGraph(
         (1, 2, 3), frozenset({(1, 1), (1, 2), (2, 3)})
     )
+
+
+def test_extend_left_matches_the_edge_set_map_on_every_small_cup():
+    """extend_left takes a cup on 1..n, as extend_right does: it is the
+    edge-set L map on that cup shifted up by one."""
+    for n in range(1, 11):
+        for g in generate_cup(n):
+            assert extend_left(g) == reference_extend_left(shifted(g))
 
 
 def test_extensions_preserve_unique_pressability():
     for n in range(1, 7):
         for g in generate_cup(n):
             r = extend_right(g)
-            l = extend_left(shift_labels(g))
+            l = extend_left(g)
             assert recognize(r).sequence == tuple(range(1, n + 2))
             assert recognize(l).sequence == tuple(range(1, n + 2))
 
@@ -77,37 +85,30 @@ def test_extensions_preserve_unique_pressability():
 def test_extensions_commute_on_even_sizes():
     for n in (2, 4, 6, 8):
         for g in generate_cup(n):
-            right_then_left = extend_left(shift_labels(extend_right(g)))
-            left_then_right = extend_right(extend_left(shift_labels(g)))
+            right_then_left = extend_left(extend_right(g))
+            left_then_right = extend_right(extend_left(g))
             assert right_then_left == left_then_right
 
 
 def test_extend_label_validation():
-    with pytest.raises(ValueError, match=exactly("labels must be 1..n")):
-        extend_right(PseudoGraph((2, 3), frozenset({(2, 2), (2, 3)})))
-    with pytest.raises(ValueError, match=exactly("labels must be 2..n+1")):
-        extend_left(K1_LOOP)
+    for extend in (extend_right, extend_left):
+        with pytest.raises(ValueError, match=exactly("labels must be 1..n")):
+            extend(PseudoGraph((2, 3), frozenset({(2, 2), (2, 3)})))
 
 
-def test_extend_rejects_non_unique_inputs(cup2):
-    with pytest.raises(
-        NotUniquelyPressableError,
-        match=exactly(
-            "input is not a canonically labeled uniquely pressable graph"
-        ),
-    ):
-        extend_right(PseudoGraph((1, 2), frozenset({(1, 2)})))
-    with pytest.raises(
-        NotUniquelyPressableError,
-        match=exactly(
-            "input is not a shifted canonically labeled uniquely "
-            "pressable graph"
-        ),
-    ):
-        extend_left(PseudoGraph((2, 3), frozenset({(2, 3)})))
-    # check=False skips the guard entirely
-    out = extend_right(PseudoGraph((1, 2), frozenset({(1, 2)})), check=False)
-    assert out.labels == (1, 2, 3)
+def test_extend_rejects_non_unique_inputs():
+    message = "input is not a canonically labeled uniquely pressable graph"
+    for extend in (extend_right, extend_left):
+        for g in (
+            PseudoGraph((1, 2), frozenset({(1, 2)})),
+            PseudoGraph((), frozenset()),
+            # A cup pressed uniquely, but not in label order.
+            PseudoGraph((1, 2), frozenset({(2, 2), (1, 2)})),
+        ):
+            with pytest.raises(
+                NotUniquelyPressableError, match=exactly(message)
+            ):
+                extend(g)
 
 
 @st.composite
@@ -123,22 +124,18 @@ def _arbitrary_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(g=_arbitrary_graphs())
 def test_extensions_match_the_edge_set_maps_on_any_graph(g):
-    """Unchecked, the row maps are the edge-set maps on every graph,
-    not only on cups."""
-    assert extend_right(g, check=False) == reference_extend_right(g)
-    shifted = shift_labels(g)
-    assert extend_left(shifted, check=False) == reference_extend_left(shifted)
-
-
-def test_shift_labels(cup2):
-    assert shift_labels(cup2).edges == frozenset({(2, 2), (2, 3)})
-    assert shift_labels(cup2, offset=10).labels == (11, 12)
-    assert shift_labels(shift_labels(cup2), offset=-1) == cup2
-    with pytest.raises(
-        ValueError,
-        match=exactly("labels must be strictly increasing positive integers"),
+    """The row maps behind extend_right and extend_left are the
+    edge-set maps on every graph, not only on cups, and carry its
+    looped mask."""
+    labels = tuple(range(1, g.n + 2))
+    for c, h in (
+        ("R", reference_extend_right(g)),
+        ("L", reference_extend_left(shifted(g))),
     ):
-        shift_labels(cup2, offset=-1)
+        looped = sum(1 << (v - 1) for v in g.looped_vertices())
+        rows, looped = generate._extend(list(g.rows), looped, c)
+        assert PseudoGraph._from_rows(labels, rows) == h
+        assert looped == sum(1 << (v - 1) for v in h.looped_vertices())
 
 
 # ------------------------------------------------------------ enumeration
