@@ -8,17 +8,18 @@ stable across runs.
 Exit status contract: 0 on success (recognize: verdict yes); 1 when the
 pressing dynamics refuse the request (verdict no, an invalid press, a
 graph that root cannot press in vertex order); 2 for malformed input,
-usage errors, or an exceeded oracle bound.
+usage errors, or an exceeded size bound.
 """
 
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from functools import cache
 
 from .cholesky import NotOrderPressableError, _root_rows
-from .generate import _cups, census, cup_count, total_count
+from .generate import CENSUS_MAX_N, _cups, census, cup_count, total_count
 from .gf2 import BitMatrix, _echo
 from .graphs import InvalidPressError, PseudoGraph, _read, parse_auto
 from .recognition import (
@@ -32,9 +33,6 @@ __all__ = ["main"]
 COUNT_MAX_N = 100_000
 """Largest n that count accepts: about 24,000 digits per number."""
 
-CENSUS_MAX_N = 7
-"""Largest n that census accepts, whatever --oracle-bound says: 2^28 graphs."""
-
 GENERATE_MAX_N = 22
 """Largest n generate accepts, to bound output: 3^10 graphs, 11.7 MB."""
 
@@ -45,6 +43,39 @@ The brute-force memo holds up to 2^n states: 16 looped isolated
 vertices take about 1 s and 33 MiB, and each two more vertices cost
 about 5 times as much.
 """
+
+
+# A string literal: argparse quotes a bad choice, or an ignored explicit
+# argument, in repr, and either may be the part of a token after "=".
+_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+
+
+def _cut(text: str, quote: str = "") -> str:
+    """text in quotes, cut after 80 characters as _echo cuts it."""
+    if len(text) <= 80:
+        return quote + text + quote
+    return f"{quote}{text[:80]}{quote}... ({len(text)} characters)"
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors quote at most 80 characters of any
+    token; add_subparsers builds each subcommand's parser from it too."""
+
+    _tokens: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        # Kept for error: the tokens this parser may quote bare.
+        self._tokens = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
+    def error(self, message: str):
+        message = _LITERAL.sub(lambda m: _cut(m[0][1:-1], m[0][0]), message)
+        # An unrecognized argument or an ambiguous option is quoted bare
+        # and whole; the longest first, as a shorter one may lie in it.
+        for token in sorted(self._tokens, key=len, reverse=True):
+            if len(token) > 80:
+                message = message.replace(token, _cut(token))
+        super().error(message)
 
 
 def _read_input(path: str) -> str:
@@ -183,9 +214,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    bound = min(args.oracle_bound, CENSUS_MAX_N)
-    result = census(args.n, bound=bound, jobs=args.jobs)
-    sys.stdout.write(result.to_text())
+    sys.stdout.write(census(args.n, jobs=args.jobs).to_text())
     return 0
 
 
@@ -204,7 +233,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and then reused."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pressgraph",
         description="Pressing dynamics on loopy graphs over GF(2).",
     )
@@ -269,13 +298,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="count the n-vertex graphs with one successful pressing "
         "sequence, from the definition",
     )
-    p.add_argument("n", type=_int_arg)
     p.add_argument(
-        "--oracle-bound",
-        type=_int_arg,
-        default=5,
-        metavar="N",
-        help="largest n the census will accept (default 5)",
+        "n", type=_int_arg, help=f"number of vertices, at most {CENSUS_MAX_N}"
     )
     p.add_argument(
         "--jobs",
@@ -312,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (ValueError, OSError) as exc:
         # Malformed input and every other library error are ValueErrors.
+        # str(OSError) quotes its path whole; this cuts it as _echo does.
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"[Errno {exc.errno}] {exc.strerror}: {_echo(exc.filename)}"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

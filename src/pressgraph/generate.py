@@ -29,7 +29,7 @@ from operator import itemgetter, or_, xor
 
 from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
-from .recognition import OracleBoundError, _decide
+from .recognition import _decide
 
 __all__ = [
     "NotUniquelyPressableError",
@@ -469,21 +469,26 @@ def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
     return [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def census(n: int, bound: int = 5, jobs: int = 1) -> CensusResult:
+CENSUS_MAX_N = 7
+"""Largest n that census accepts: 2^28 graphs."""
+
+
+def census(n: int, jobs: int = 1) -> CensusResult:
     """Census of the uniquely pressable graphs among all 2^(n(n+1)/2).
 
     Counts the labeled graphs with exactly one successful pressing
     sequence, by that definition (_counts), then their isomorphism
     classes and the connected classes with an edge (the cup cores), by
-    the recognizer's keys on those graphs alone.
-    Refuses n above the size bound; jobs > 1 splits the mask range
-    across at most min(jobs, CPU count) processes.
+    the recognizer's keys on those graphs alone.  n = 0 counts the one
+    empty graph.  n above CENSUS_MAX_N is refused with a ValueError
+    before any table is built or worker started; jobs > 1 splits the
+    mask range across at most min(jobs, CPU count) processes.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    if n > bound:
-        raise OracleBoundError(
-            f"census of {n}-vertex graphs exceeds bound {bound}"
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > CENSUS_MAX_N:
+        raise ValueError(
+            f"census of {n}-vertex graphs exceeds bound {CENSUS_MAX_N}"
         )
     if jobs < 1:
         raise ValueError("jobs must be positive")

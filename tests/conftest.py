@@ -7,6 +7,7 @@ cross-checks.
 
 import io
 import itertools
+import multiprocessing
 import os
 import re
 import sys
@@ -24,6 +25,7 @@ from pressgraph import (
     UnpressableError,
     iter_support,
 )
+from pressgraph import generate
 from pressgraph.cli import main as cli_main
 from pressgraph.graphs import GRAPH_MAX_N, _reach
 
@@ -572,6 +574,18 @@ def reference_peel(rows):
     if not rows[last] >> last & 1:
         return None
     return [*front, last, *reversed(back)], "".join(reversed(letters))
+
+
+@pytest.fixture
+def refuse_census_work(monkeypatch):
+    """Any census sweep or worker pool fails at once, so that a cap
+    which lets n through fails the test instead of running the sweep."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("census started work out of range")
+
+    monkeypatch.setattr(generate, "_census_range", refuse)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
 
 
 def run_cli(argv, stdin=None):

@@ -74,4 +74,10 @@ MUTANTS = [
         "page = 2 << sum(",
         "the census gathers pages one bit too large from the level below",
     ),
+    (
+        "generate.py",
+        "if n > CENSUS_MAX_N:",
+        "if n > CENSUS_MAX_N + 1:",
+        "census lets one size past its cap through to the sweep",
+    ),
 ]

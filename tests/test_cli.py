@@ -341,7 +341,6 @@ def test_error_messages_cap_the_echoed_input(site, length):
         ["generate", "{}"],
         ["census", "{}"],
         ["census", "3", "--jobs", "{}"],
-        ["census", "3", "--oracle-bound", "{}"],
         ["recognize", "--oracle-bound", "{}", CUP2],
     ],
     ids=[
@@ -349,7 +348,6 @@ def test_error_messages_cap_the_echoed_input(site, length):
         "generate",
         "census",
         "census --jobs",
-        "census --oracle-bound",
         "recognize --oracle-bound",
     ],
 )
@@ -362,6 +360,60 @@ def test_integer_arguments_cap_the_echoed_token(argv, token):
     want = f"expected an integer of at most 80 characters, got {quoted(token)}"
     assert err.endswith(want + "\n")
     assert len(err) < 500
+
+
+# Each way argparse itself quotes a token: an unrecognized argument, a
+# bad command or --format choice, an ignored explicit argument, an
+# ambiguous option; and a path that cannot be opened.
+_ARGPARSE_QUOTES = {
+    "unrecognized": ["census", "3", "{}"],
+    "command": ["{}"],
+    "choice": ["convert", "--format", "{}", "-"],
+    "explicit": ["press", "--trace={}", "-"],
+    "ambiguous": ["recognize", "--={}", "-"],
+    "path": ["recognize", "{}"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _ARGPARSE_QUOTES.values(), ids=_ARGPARSE_QUOTES.keys()
+)
+@pytest.mark.parametrize(
+    "token", ["x" * 5000, "x y" * 2000], ids=["5000 letters", "with spaces"]
+)
+def test_argparse_errors_cut_a_long_token(argv, token):
+    """argparse's own errors, and an OSError's path, quote at most 80
+    characters of a token, then an ellipsis and a length."""
+    code, out, err = run_cli([a.format(token) for a in argv], stdin="")
+    assert (code, out) == (2, "")
+    assert len(err) < 500
+    assert token[:81] not in err and " characters)" in err
+
+
+@pytest.mark.parametrize(
+    "argv", _ARGPARSE_QUOTES.values(), ids=_ARGPARSE_QUOTES.keys()
+)
+def test_argparse_errors_quote_a_short_token_whole(
+    argv, monkeypatch, tmp_path
+):
+    """Tokens of 80 characters give the stderr of a plain parser, and a
+    path of 80 characters that of str(OSError), byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    argv = [a.replace("{}", "x" * (82 - len(a))) for a in argv]
+    assert max(map(len, argv)) == 80
+    cut = run_cli(argv, stdin="")
+    monkeypatch.setattr(cli, "_Parser", argparse.ArgumentParser)
+    cli._build_parser.cache_clear()
+    try:
+        plain = run_cli(argv, stdin="")
+    finally:
+        cli._build_parser.cache_clear()
+    assert cut == plain
+    assert cut[0] == 2 and " characters)" not in cut[2]
+    if argv == ["recognize", "x" * 80]:
+        with pytest.raises(OSError) as info:
+            open("x" * 80)
+        assert cut[2] == f"error: {info.value}\n"
 
 
 def test_press_malformed_sequence_is_usage_error():
@@ -799,32 +851,42 @@ def test_census_jobs_flag_changes_nothing():
     assert solo == duo
 
 
-def test_census_over_bound_is_usage_error():
-    code, _, err = run_cli(["census", "6"])
-    assert code == 2
-    assert "bound" in err
-    code, _, _ = run_cli(["census", "3", "--oracle-bound", "3"])
-    assert code == 0
-
-
-def test_census_cap_overrides_the_oracle_bound(monkeypatch):
-    """No --oracle-bound lifts census above CENSUS_MAX_N; the refusal
-    comes before any sweep runs or any worker process starts."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("census started work above its cap")
-
-    monkeypatch.setattr(generate, "_census_range", refuse)
-    monkeypatch.setattr(multiprocessing, "Pool", refuse)
-    assert CENSUS_MAX_N == 7
-    code, out, err = run_cli(["census", "8", "--oracle-bound", "8"])
+def test_census_over_bound_is_usage_error(refuse_census_work):
+    """census refuses n above CENSUS_MAX_N, and no longer takes
+    --oracle-bound."""
+    code, out, err = run_cli(["census", str(CENSUS_MAX_N + 1)])
     assert (code, out) == (2, "")
-    assert "exceeds bound" in err
-    code, out, err = run_cli(
-        ["census", "40", "--oracle-bound", "40", "--jobs", "2"]
+    assert err == "error: census of 8-vertex graphs exceeds bound 7\n"
+    code, out, err = run_cli(["census", "3", "--oracle-bound", "3"])
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --oracle-bound 3" in err
+
+
+def test_census_refuses_out_of_range_n_before_any_work(refuse_census_work):
+    """n above CENSUS_MAX_N or below 0 is refused before any sweep runs
+    or any worker process starts, whatever --jobs says."""
+    assert CENSUS_MAX_N == generate.CENSUS_MAX_N == 7
+    over = "error: census of {}-vertex graphs exceeds bound 7\n"
+    under = "error: n must be nonnegative\n"
+    for n, jobs, want in [
+        ("8", "1", over.format(8)),
+        ("40", "2", over.format(40)),
+        ("-1", "1", under),
+        ("-1", "2", under),
+    ]:
+        assert run_cli(["census", n, "--jobs", jobs]) == (2, "", want)
+
+
+def test_census_needs_no_flag_from_zero_to_six():
+    """census 0 counts the one empty graph, as count 0 does, and census
+    6 runs with no flag; the CI slow job runs census 7."""
+    assert run_cli(["census", "0"]) == (
+        0, "n=0 labeled_total=1 up_iso_classes=1 cup_iso_classes=1\n", ""
     )
-    assert (code, out) == (2, "")
-    assert "exceeds bound" in err
+    assert run_cli(["count", "0"]) == (0, "cup=1 total=1\n", "")
+    assert run_cli(["census", "6"]) == (
+        0, "n=6 labeled_total=12157 up_iso_classes=23 cup_iso_classes=9\n", ""
+    )
 
 
 @pytest.mark.parametrize(
@@ -1106,11 +1168,10 @@ def _neither_int_nor_flag(token):
     return False
 
 
-# Just above each command's cap, and census above its default bound:
-# every one is refused before any work.
+# Just above each command's cap: every one is refused before any work.
 _OVER_CAP = {
     "count": (COUNT_MAX_N + 1,),
-    "census": (6, CENSUS_MAX_N + 1),
+    "census": (CENSUS_MAX_N + 1,),
     "generate": (GENERATE_MAX_N + 1,),
 }
 
@@ -1132,6 +1193,7 @@ def _size_commands(draw):
     token = draw(st.one_of(st.sampled_from(fixed), free))
     argv = [command, token]
     if command == "census" and draw(st.booleans()):
+        # census no longer takes this flag: an unknown one, at any size.
         bounds = ("x", "-1", "1", "5") + _OVERSIZED
         argv += ["--oracle-bound", draw(st.sampled_from(bounds))]
     if command == "census" and draw(st.booleans()):
@@ -1144,11 +1206,17 @@ def _size_commands(draw):
 @given(argv=_size_commands())
 def test_fuzzed_sizes_keep_the_exit_contract(argv):
     """count, census and generate on any n token, and census on any
-    --oracle-bound and --jobs token, end in exit 0, 1 or 2 and never in
-    an exception; exit 2 prints nothing on stdout, and no token of any
-    length makes stderr long.  A stand-in Pool maps in this process, so
-    no worker starts, and records its size: never above --jobs."""
+    --jobs token and an --oracle-bound it refuses, end in exit 0, 1 or 2
+    and never in an exception; exit 2 prints nothing on stdout, and no
+    token of any length makes stderr long.  A stand-in Pool maps in this
+    process, so no worker starts, and records its size: never above
+    --jobs.  A sweep above the cap fails at once."""
     sizes = []
+    census_range = generate._census_range
+
+    def capped_census_range(args):
+        assert args[0] <= CENSUS_MAX_N, "census swept above its cap"
+        return census_range(args)
 
     class InlinePool:
         def __init__(self, processes):
@@ -1163,7 +1231,10 @@ def test_fuzzed_sizes_keep_the_exit_contract(argv):
         def map(self, fn, items):
             return list(map(fn, items))
 
-    with mock.patch.object(multiprocessing, "Pool", InlinePool):
+    with (
+        mock.patch.object(multiprocessing, "Pool", InlinePool),
+        mock.patch.object(generate, "_census_range", capped_census_range),
+    ):
         code, out, err = run_cli(argv)
     assert code in (0, 1, 2)
     if code == 2:

@@ -24,7 +24,6 @@ from pressgraph import (
     CensusResult,
     InvalidPressError,
     NotUniquelyPressableError,
-    OracleBoundError,
     PseudoGraph,
     RecognitionReport,
     all_pseudographs,
@@ -474,12 +473,11 @@ def test_census_parallel_agrees_at_five():
     assert census(5, jobs=2) == census(5)
 
 
-@pytest.mark.slow
 def test_census_six_matches_closed_forms():
     assert (total_count(6), cup_count(6)) == (23, 9)
     labeled = sum(math.perm(6, k) * cup_count(k) for k in range(7))
     assert labeled == 12157
-    assert census(6, bound=6, jobs=2) == CensusResult(6, labeled, 23, 9)
+    assert census(6) == CensusResult(6, labeled, 23, 9)
 
 
 @pytest.mark.parametrize(
@@ -572,11 +570,31 @@ def test_census_raises_when_the_recognizer_says_no_on_a_yes_mask(
 
 
 def test_census_bounds():
-    with pytest.raises(ValueError):
-        census(0)
-    with pytest.raises(OracleBoundError):
-        census(6)
-    assert census(3, bound=3) == census(3)
+    """n = 0 is the one empty graph, as count and generate have it."""
+    assert generate._census_range((0, 0, 1)) == (1, {()})
+    assert census(0) == CensusResult(0, 1, 1, 1)
+    assert (total_count(0), cup_count(0), len(generate_cup(0))) == (1, 1, 1)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        census(-1)
+
+
+def test_census_refuses_out_of_range_n_before_any_work(
+    monkeypatch, refuse_census_work
+):
+    """census itself refuses n above CENSUS_MAX_N or below 0, with a
+    plain ValueError, before any sweep runs or worker process starts;
+    n = CENSUS_MAX_N is let through to the sweep."""
+    assert generate.CENSUS_MAX_N == 7
+    for n, jobs in [(8, 1), (8, 2), (40, 2), (-1, 1), (-1, 2)]:
+        with pytest.raises(ValueError) as info:
+            census(n, jobs=jobs)
+        assert type(info.value) is ValueError
+        assert str(info.value) == (
+            "n must be nonnegative" if n < 0
+            else f"census of {n}-vertex graphs exceeds bound 7"
+        )
+    monkeypatch.setattr(generate, "_census_range", lambda args: (0, set()))
+    assert census(7) == CensusResult(7, 0, 0, 0)
 
 
 def test_census_to_text():
