@@ -23,6 +23,7 @@ from .generate import CENSUS_MAX_N, _cups, census, cup_count, total_count
 from .gf2 import BitMatrix, _echo
 from .graphs import InvalidPressError, PseudoGraph, _read, parse_auto
 from .recognition import (
+    ORACLE_MAX_N,
     OracleBoundError,
     count_sequences_bruteforce,
     recognize,
@@ -35,14 +36,6 @@ COUNT_MAX_N = 100_000
 
 GENERATE_MAX_N = 22
 """Largest n generate accepts, to bound output: 3^10 graphs, 11.7 MB."""
-
-ORACLE_MAX_N = 16
-"""Largest n recognize --oracle-bound counts, whatever the flag says.
-
-The brute-force memo holds up to 2^n states: 16 looped isolated
-vertices take about 1 s and 33 MiB, and each two more vertices cost
-about 5 times as much.
-"""
 
 
 # A string literal: argparse quotes a bad choice, or an ignored explicit
@@ -149,7 +142,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     g = _load_graph(_read_input(args.input), args.format)
     bound = args.oracle_bound
     if bound is not None:
-        # Refused before any work, as census refuses above its cap.
+        # Refused before recognize runs; the oracle caps its bound at
+        # the same ORACLE_MAX_N, but only when it is called.
         bound = min(bound, ORACLE_MAX_N)
         if g.n > bound:
             raise OracleBoundError(

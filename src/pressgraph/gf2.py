@@ -115,8 +115,10 @@ def _press(rows: list[int], p: int) -> None:
     one C-level ``compress`` over its lanes.  This is both a press of
     looped vertex ``p`` and a GF(2) Cholesky elimination step; row
     ``p`` holds its own bit, so it is cleared too.  It serves brute
-    force, which presses each state of its search once.  The greedy
-    XORs pivots of 32 bits or fewer by an inline copy of this loop;
+    force, which presses each state of its search once.  Its range
+    allocates nothing there: brute force stops at n <= 16, where every
+    index is a cached small int.  The greedy XORs pivots of 32 bits or
+    fewer by an inline copy of this loop, over a list of its indices;
     heavier ones, and the fixed orders, wait in ``_defer``.
     """
     piv = rows[p]
@@ -215,9 +217,14 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     p != v row v held bit p and equalled row p; by symmetry row p held
     bit v, so row v held bit v: v was looped with the degree of p, the
     maximum, and the scan tied.
+
+    The scan and the light press walk ``index``, a list built once per
+    call, not a range: ``compress`` then hands out the list's own ints,
+    while a range makes a new int for every index above 256 (CPython
+    caches only the small ones) on every step, looped or not.
     """
     n = len(rows)
-    index = range(n)
+    index = [*range(n)]
     rows = list(rows)
     order: list[int] = []
     pivots: list[int] = []

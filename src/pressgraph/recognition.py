@@ -45,6 +45,15 @@ REASON_UNPRESSABLE = "UNPRESSABLE"
 REASON_TIE = "TIE"
 
 
+ORACLE_MAX_N = 16
+"""Largest n that count_sequences_bruteforce counts, whatever its bound.
+
+The brute-force memo holds up to 2^n states: 16 looped isolated
+vertices take about 1 s and 33 MiB, and each two more vertices cost
+about 5 times as much.
+"""
+
+
 class OracleBoundError(ValueError):
     """The graph exceeds the configured brute-force size bound."""
 
@@ -262,8 +271,11 @@ def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:
 
     Every press choice is explored at every state; states reached more
     than once are counted through a memo on the packed adjacency rows.
-    Exponential in the worst case, hence the size bound.
+    Exponential in the worst case, hence the size bound, which is
+    capped at ORACLE_MAX_N: a larger graph is refused before the memo
+    is built.
     """
+    bound = min(bound, ORACLE_MAX_N)
     if g.n > bound:
         raise OracleBoundError(
             f"graph has {g.n} vertices, oracle bound is {bound}"

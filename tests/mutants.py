@@ -80,4 +80,10 @@ MUTANTS = [
         "if n > CENSUS_MAX_N + 1:",
         "census lets one size past its cap through to the sweep",
     ),
+    (
+        "recognition.py",
+        "bound = min(bound, ORACLE_MAX_N)",
+        "bound = min(bound, ORACLE_MAX_N + 1)",
+        "brute force lets one size past its cap through to the memo",
+    ),
 ]

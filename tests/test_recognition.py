@@ -373,6 +373,30 @@ def test_bruteforce_bound():
     assert count_sequences_bruteforce(g, bound=11) == 1
 
 
+def test_bruteforce_caps_any_bound_before_the_memo(monkeypatch):
+    """bound=30 on 17 looped isolated vertices is refused at once, by
+    the cap ORACLE_MAX_N = 16, before any state is pressed; 16 such
+    vertices get through to the memo."""
+
+    class Pressed(Exception):
+        pass
+
+    def refuse(rows, p):
+        raise Pressed
+
+    def looped_isolated(n):
+        return PseudoGraph(
+            tuple(range(1, n + 1)), frozenset((v, v) for v in range(1, n + 1))
+        )
+
+    monkeypatch.setattr(recognition, "_press", refuse)
+    assert recognition.ORACLE_MAX_N == 16
+    with pytest.raises(OracleBoundError, match="oracle bound is 16"):
+        count_sequences_bruteforce(looped_isolated(17), bound=30)
+    with pytest.raises(Pressed):
+        count_sequences_bruteforce(looped_isolated(16), bound=30)
+
+
 def test_pressing_length(cup2, example5):
     assert pressing_length(cup2) == 2
     assert pressing_length(PseudoGraph((1, 2), frozenset())) == 0
@@ -545,6 +569,39 @@ def test_recognize_equals_second_elimination_on_permuted_cups():
         assert got.verdict
         assert got == reference_recognize(g)
         assert g.is_successful(got.sequence)
+
+
+def _permuted_rows(rows, perm, spare):
+    """rows with row i moved to perm[i], and spare zero rows at the
+    positions perm leaves free."""
+    out = [0] * (len(rows) + spare)
+    for i, r in enumerate(rows):
+        out[perm[i]] = sum(1 << perm[j - 1] for j in iter_support(r))
+    return out
+
+
+def test_recognize_at_n_1024_past_the_small_int_cache():
+    """A permuted, padded cup at n = 1024 from a 3:1-R word, so that
+    most row indices lie above 256, past CPython's small-int cache: the
+    greedy finds the planted sequence, its pivots are _eliminate's
+    along it, and the same cup with one pair flipped is refused."""
+    rng = random.Random(1024)
+    word = "".join(rng.choices("LR", weights=(1, 3), k=1023))
+    cup = generate.cup_from_choices(word)
+    spare = 8
+    perm = rng.sample(range(cup.n + spare), cup.n)
+    rows = _permuted_rows(cup.rows, perm, spare)
+    labels = tuple(range(1, len(rows) + 1))
+    got = recognize(PseudoGraph._from_rows(labels, rows))
+    assert got.verdict
+    assert got.sequence == tuple(p + 1 for p in perm)
+    order, pivots, first_tie, pressed = gf2._greedy(rows, True)
+    assert (order, first_tie, any(pressed)) == (perm, None, False)
+    assert pivots == gf2._eliminate(list(rows), order)
+    u, v = perm[300], perm[700]
+    rows[u] ^= 1 << v
+    rows[v] ^= 1 << u
+    assert not recognize(PseudoGraph._from_rows(labels, rows)).verdict
 
 
 def test_column_weights_match_a_per_column_count():
