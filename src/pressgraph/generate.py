@@ -25,7 +25,7 @@ import _random
 import itertools
 import os
 from collections.abc import Iterable, Iterator
-from operator import itemgetter, or_, xor
+from operator import or_, xor
 
 from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
@@ -287,12 +287,13 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
 # Caps the bits of a block of _counts, k = min(_BLOCK_BITS, 2n - 1); no
 # level has fewer pairs.  The first 2n - 1 pairs are those at vertices 1
 # and 2, so a block fixes the graph on 3..n: vertices 1 and 2 need one
-# cached gather each per level, and each v >= 3 one per subset of the
-# other vertices in 3..n.  A larger k builds bigger gathers that fewer
-# blocks read, a smaller one more blocks and gathers: levels 3-5 ran
-# fastest at 2n - 1.  The cap leaves n >= 6 at 1,024 masks: a cap of 12
-# made census 7 --jobs 2 about a tenth faster (CPython 3.11.7, 2 vCPUs)
-# but raised each worker's peak RSS from 21.6 to 32.4 MiB, 13 to 43.9.
+# cached row each per level, and each v >= 3 one per subset of the
+# other vertices in 3..n.  A larger k builds bigger rows that fewer
+# blocks read, a smaller one more blocks and rows: levels 3-5 ran
+# fastest at 2n - 1.  The cap leaves n >= 6 at 1,024 masks: when rows
+# gathered through itemgetter, a cap of 12 made census 7 --jobs 2 about
+# a tenth faster (CPython 3.11.7, 2 vCPUs) but raised each worker's
+# peak RSS from 21.6 to 32.4 MiB, 13 to 43.9.
 _BLOCK_BITS = 10
 # Caps a byte of summed counts at 2.
 _CAP = bytes(min(c, 2) for c in range(256))
@@ -323,10 +324,15 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     order are the top bits of the index, none below page.  So a row,
     cached per v and high part of N(v) - v, reads a few pages of the
     table below, the same ones moved by d in every block: each block
-    joins them into one short table and gathers from it through a
-    getter cached with the row, XORing no index per mask.  The table
-    of the level below is built the same way, upward from n = 0; the
-    level-n masks are streamed.
+    joins them into one short table, and the row is cached as each
+    mask's spot in it.  The row keeps the low byte of every spot, and
+    for each 256-byte window of the joined table an int with byte 0xFF
+    at the masks whose spot lies in that window.  bytes.translate of
+    the low bytes through a window reads a byte there for every mask,
+    and ANDing with that int keeps the masks whose spot it holds, so
+    the reads of all windows add up to the counts, with no index XORed
+    and no int built per mask.  The table of the level below is built the same
+    way, upward from n = 0; the level-n masks are streamed.
     """
     if n == 0:
         yield b"\x01"[lo:hi]
@@ -387,14 +393,27 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
                 # lays them out in that order.
                 starts = sorted({x & -page for x in row})
                 at = {t: i * page for i, t in enumerate(starts)}
-                entry = by_set[s] = starts, itemgetter(
-                    *[at[x & -page] | x & page - 1 for x in row]
-                )
-            starts, gather = entry
+                spots = [at[x & -page] | x & page - 1 for x in row]
+                # Window h of that table is its bytes 256h .. 256h + 255,
+                # kept with byte 0xFF at each pair-mask whose spot is there.
+                windows = [
+                    (h << 8, int.from_bytes(
+                        bytes(255 * (x >> 8 == h) for x in spots), "little"
+                    ))
+                    for h in range((max(spots) >> 8) + 1)
+                ]
+                lows = bytes(x & 255 for x in spots)
+                entry = by_set[s] = starts, lows, windows
+            starts, lows, windows = entry
             moved = map(xor, starts, itertools.repeat(d & in_below))
-            counts = gather(b"".join([below[t:t + page] for t in moved]))
-            # Each count is at most 2, so n of them never carry for n <= 127.
-            total += int.from_bytes(bytes(counts), "little")
+            table = b"".join([below[t:t + page] for t in moved])
+            # Each count is at most 2 and comes through one window, so n
+            # of them never carry for n <= 127.
+            for w, keep in windows:
+                window = table[w:w + 256].ljust(256, b"\0")
+                total += int.from_bytes(
+                    lows.translate(window), "little"
+                ) & keep
         # A block that lo or hi cuts is counted whole, then cut.
         yield total.to_bytes(size, "little").translate(_CAP)[
             max(lo - base, 0):hi - base

@@ -11,6 +11,10 @@ result; only a test that spies on which path the greedy takes sees it.
 The page mutant needs no larger _BLOCK_BITS to hide it from the census
 goldens: with blocks of 2^min(_BLOCK_BITS, 2n - 1) masks, raising the
 cap would not keep any level off the page gather.
+
+The window mutant changes nothing on levels up to 5, whose rows read
+one 256-byte window of the joined pages; tier-1 reaches the second and
+third windows only on level 6, through its slice test and census(6).
 """
 
 MUTANTS = [
@@ -73,6 +77,12 @@ MUTANTS = [
         "page = 1 << sum(",
         "page = 2 << sum(",
         "the census gathers pages one bit too large from the level below",
+    ),
+    (
+        "generate.py",
+        "x >> 8 == h",
+        "x >> 8 <= h",
+        "the census adds each count again through every later window",
     ),
     (
         "generate.py",

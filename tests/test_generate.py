@@ -702,6 +702,20 @@ def test_counts_agree_with_peel_at_six():
     _counts_agree_with_peel(6)
 
 
+def test_counts_agree_with_decide_and_pressing_length_on_a_slice_of_six():
+    """On a 4096-mask slice of level 6, off its 1024-mask block
+    boundaries, c = 1 exactly when the recognizer says yes and c >= 1
+    exactly when pressing_length finds the graph pressable.  Level 6 is
+    the first whose rows read more than one 256-byte window of the
+    joined pages below; levels up to 5 read one.  A mask below 2^15
+    sets only pairs that meet vertex 1, 2 or 3, so c = 0 and c = 1 are
+    common there."""
+    lo = 5000
+    assert lo % 1024 and lo + 4096 < 1 << 15
+    _counts_agree_with_decide(6, lo, lo + 4096)
+    _counts_agree_with_pressing_length(6, lo, lo + 4096)
+
+
 @pytest.mark.slow
 def test_counts_agree_with_decide_and_pressing_length_on_slices_of_seven():
     """On three seeded 4096-mask slices of level 7, one of them off the
