@@ -25,7 +25,7 @@ import _random
 import itertools
 import os
 from collections.abc import Iterable, Iterator
-from operator import or_, xor
+from operator import and_, or_, rshift, xor
 
 from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
@@ -209,7 +209,7 @@ def all_pseudographs(n: int):
         raise ValueError("n must be nonnegative")
     labels = tuple(range(1, n + 1))
     wrap = PseudoGraph._from_rows
-    for rows in _mask_rows(n, 0, 1 << len(_pairs(n))):
+    for rows in _mask_rows(n, range(1 << len(_pairs(n)))):
         yield wrap(labels, rows)
 
 
@@ -220,46 +220,37 @@ def _pair_tables(n: int) -> list[list[tuple[int, ...]]]:
     pairs at mask bits 8c..8c+7 selected by b, so the rows of any mask
     are the OR of one entry per table: about P/8 tables of 256 entries
     for P = n(n+1)/2 pairs.  There is always one table, so that n = 0
-    has its single empty graph.
+    has its single empty graph.  Each pair doubles its table: the
+    entries with its bit set are those before it, ORed with its edge.
     """
     pairs = _pairs(n)
     tables = []
     for start in range(0, max(len(pairs), 1), 8):
-        chunk = pairs[start:start + 8]
-        table = []
-        for b in range(1 << len(chunk)):
-            rows = [0] * n
-            for k, (u, v) in enumerate(chunk):
-                if b >> k & 1:
-                    rows[u - 1] |= 1 << (v - 1)
-                    rows[v - 1] |= 1 << (u - 1)
-            table.append(tuple(rows))
+        table = [(0,) * n]
+        for u, v in pairs[start:start + 8]:
+            edge = [0] * n
+            edge[u - 1] |= 1 << v - 1
+            edge[v - 1] |= 1 << u - 1
+            table += [tuple(map(or_, rows, edge)) for rows in table]
         tables.append(table)
     return tables
 
 
-def _rows_of(
-    tables: list[list[tuple[int, ...]]], mask: int
-) -> tuple[int, ...]:
-    """The rows of one pair-mask, from its byte tables (_pair_tables)."""
-    first, *rest = tables
-    rows = first[mask & 255]
-    for table in rest:
-        mask >>= 8
-        rows = tuple(map(or_, rows, table[mask & 255]))
-    return rows
+def _mask_rows(n: int, masks: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The rows of the graphs with each pair-mask in masks, in order.
 
-
-def _mask_rows(n: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """The rows of the graphs with pair-mask in [lo, hi), in order."""
-    tables = _pair_tables(n)
-    low = tables[0]
-    base_of = None
-    for mask in range(lo, hi):
-        # The bytes above the lowest change once per 256 masks.
-        if mask >> 8 != base_of:
-            base_of = mask >> 8
-            base = _rows_of(tables, base_of << 8)
+    A mask's rows OR one entry of each byte table (_pair_tables).  While
+    the masks ascend, the entries of the high bytes are ORed once per
+    page of 256 masks, and each mask ORs in its low byte's entry.
+    """
+    low, *high = _pair_tables(n)
+    page = None
+    for mask in masks:
+        if mask >> 8 != page:
+            page = mask >> 8
+            base = low[0]
+            for c, table in enumerate(high, 1):
+                base = tuple(map(or_, base, table[mask >> 8 * c & 255]))
         yield tuple(map(or_, base, low[mask & 255]))
 
 
@@ -290,10 +281,10 @@ def canonical_form(g: PseudoGraph) -> tuple[int, ...]:
 # cached row each per level, and each v >= 3 one per subset of the
 # other vertices in 3..n.  A larger k builds bigger rows that fewer
 # blocks read, a smaller one more blocks and rows: levels 3-5 ran
-# fastest at 2n - 1.  The cap leaves n >= 6 at 1,024 masks: when rows
-# gathered through itemgetter, a cap of 12 made census 7 --jobs 2 about
-# a tenth faster (CPython 3.11.7, 2 vCPUs) but raised each worker's
-# peak RSS from 21.6 to 32.4 MiB, 13 to 43.9.
+# fastest at 2n - 1.  The cap leaves n >= 6 at 1,024 masks.  With the
+# translate gather, cap 12 is slower: census 7 --jobs 2 took 20.7-22.4 s
+# against 19.3-20.6 s (worker peak RSS 20.8-20.9 against 20.2-20.3 MiB),
+# and census 6 0.57-0.58 s at caps 11-12 against 0.39-0.51 s (2 vCPUs).
 _BLOCK_BITS = 10
 # Caps a byte of summed counts at 2.
 _CAP = bytes(min(c, 2) for c in range(256))
@@ -331,8 +322,10 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     the low bytes through a window reads a byte there for every mask,
     and ANDing with that int keeps the masks whose spot it holds, so
     the reads of all windows add up to the counts, with no index XORed
-    and no int built per mask.  The table of the level below is built the same
-    way, upward from n = 0; the level-n masks are streamed.
+    and no int built per mask.  A row is built at its first block by
+    C-level passes of map, bytes and translate, with no Python loop per
+    mask.  The table of the level below is built the same way, upward
+    from n = 0; the level-n masks are streamed.
     """
     if n == 0:
         yield b"\x01"[lo:hi]
@@ -390,19 +383,21 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
                 sets = map(or_, low_set, itertools.repeat(s))
                 row = list(map(xor, low_index, map(clique.__getitem__, sets)))
                 # The pages that row touches, and row in the table that
-                # lays them out in that order.
-                starts = sorted({x & -page for x in row})
-                at = {t: i * page for i, t in enumerate(starts)}
-                spots = [at[x & -page] | x & page - 1 for x in row]
-                # Window h of that table is its bytes 256h .. 256h + 255,
-                # kept with byte 0xFF at each pair-mask whose spot is there.
+                # lays them out in that order: XOR by at[t] moves page t.
+                tops = list(map(and_, row, itertools.repeat(-page)))
+                starts = sorted(set(tops))
+                at = {t: t ^ i * page for i, t in enumerate(starts)}
+                spots = list(map(xor, row, map(at.__getitem__, tops)))
+                lows = bytes(map(and_, spots, itertools.repeat(255)))
+                # Window h of that table is its bytes 256h .. 256h + 255;
+                # translating the spots' high bytes by a table that maps h
+                # alone to 0xFF marks the pair-masks whose spot is there.
+                his = bytes(map(rshift, spots, itertools.repeat(8)))
                 windows = [
-                    (h << 8, int.from_bytes(
-                        bytes(255 * (x >> 8 == h) for x in spots), "little"
-                    ))
-                    for h in range((max(spots) >> 8) + 1)
+                    (h << 8, int.from_bytes(his.translate(
+                        bytes(h) + b"\xff" + bytes(255 - h)), "little"))
+                    for h in range(max(his) + 1)
                 ]
-                lows = bytes(x & 255 for x in spots)
                 entry = by_set[s] = starts, lows, windows
             starts, lows, windows = entry
             moved = map(xor, starts, itertools.repeat(d & in_below))
@@ -452,32 +447,37 @@ def _census_range(args: tuple[int, int, int]) -> tuple[int, set]:
     """Count the pair-masks in [lo, hi) with one successful sequence.
 
     The count comes from the definition (_counts), streamed in blocks,
-    and only the masks with c = 1 have their rows built: they reach the
-    recognizer core, which must say yes on each, for its class key: the
-    root column weights w, the padding being n - len(w).
+    and only the masks with c = 1 have their rows built, by _mask_rows,
+    which builds the rows of their high bytes once per 256-mask page.
+    They reach the recognizer core, which must say yes on each, for its
+    class key: the root column weights w, the padding being n - len(w).
     By property 1 the ones of column j are rows j - w_j + 1 .. j, so w
     fixes the root U and with it A = U^T U in press order; and an
     isomorphism between yes graphs carries one unique sequence onto the
     other, so two share a key exactly when they are isomorphic.
     """
     n, lo, hi = args
-    tables = _pair_tables(n)
     count, keys = 0, set()
+    for rows in _mask_rows(n, _unique_masks(n, lo, hi)):
+        reason, _, _, weights = _decide(rows)
+        if reason is not None:
+            raise RuntimeError(
+                f"recognizer says {reason} on rows {rows}, which have "
+                "exactly one successful pressing sequence"
+            )
+        count += 1
+        keys.add(weights)
+    return count, keys
+
+
+def _unique_masks(n: int, lo: int, hi: int) -> Iterator[int]:
+    """The pair-masks in [lo, hi) with c = 1 (_counts), ascending."""
     for block in _counts(n, lo, hi):
         at = block.find(1)
         while at >= 0:
-            rows = _rows_of(tables, lo + at)
-            reason, _, _, weights = _decide(rows)
-            if reason is not None:
-                raise RuntimeError(
-                    f"recognizer says {reason} on rows {rows}, which have "
-                    "exactly one successful pressing sequence"
-                )
-            count += 1
-            keys.add(weights)
+            yield lo + at
             at = block.find(1, at + 1)
         lo += len(block)
-    return count, keys
 
 
 def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:

@@ -80,8 +80,8 @@ MUTANTS = [
     ),
     (
         "generate.py",
-        "x >> 8 == h",
-        "x >> 8 <= h",
+        'bytes(h) + b"\\xff"',
+        'b"\\xff" * (h + 1)',
         "the census adds each count again through every later window",
     ),
     (
@@ -89,6 +89,12 @@ MUTANTS = [
         "if n > CENSUS_MAX_N:",
         "if n > CENSUS_MAX_N + 1:",
         "census lets one size past its cap through to the sweep",
+    ),
+    (
+        "generate.py",
+        "            edge[v - 1] |= 1 << u - 1\n",
+        "",
+        "the pair tables set each edge in its first endpoint's row only",
     ),
     (
         "recognition.py",

@@ -374,7 +374,7 @@ def test_greedy_equals_the_live_list_greedy_on_every_graph_up_to_five():
     bits, returns the first four fields of reference_greedy in both
     modes on every graph with n <= 5."""
     for n in range(6):
-        for rows in generate._mask_rows(n, 0, 1 << n * (n + 1) // 2):
+        for rows in generate._mask_rows(n, range(1 << n * (n + 1) // 2)):
             for stop in (False, True):
                 got = gf2._greedy(rows, stop)
                 assert got == reference_greedy(rows, stop)[:4], (rows, stop)

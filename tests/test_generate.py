@@ -248,11 +248,21 @@ def test_all_pseudographs_match_the_edge_built_graphs(n, step):
 
 
 def test_all_pseudographs_tables_are_bounded():
+    # Entry b of table c is the graph of mask b << 8c, on every entry up
+    # to n = 7, whose last tables hold 5 pairs at n = 6 and 4 at n = 7.
+    for n in range(8):
+        tables = generate._pair_tables(n)
+        pairs = n * (n + 1) // 2
+        sizes = [256] * (pairs // 8) + [1 << pairs % 8] * (pairs % 8 > 0)
+        assert [len(t) for t in tables] == (sizes or [1])
+        for c, table in enumerate(tables):
+            want = [_edge_built(n, b << 8 * c).rows for b in range(len(table))]
+            assert table == want, (n, c)
     # 78 pairs at n = 12: ten byte tables, never 2^39-entry halves.
     tables = generate._pair_tables(12)
     assert [len(t) for t in tables] == [256] * 9 + [64]
     assert next(all_pseudographs(12)) == PseudoGraph(range(1, 13), ())
-    chunk = list(generate._mask_rows(12, 2**70 - 3, 2**70 + 3))
+    chunk = list(generate._mask_rows(12, range(2**70 - 3, 2**70 + 3)))
     want = [_edge_built(12, m).rows for m in range(2**70 - 3, 2**70 + 3)]
     assert chunk == want
 
@@ -617,7 +627,7 @@ def _counted(n, lo=0, hi=None):
     hi = _masks(n) if hi is None else hi
     table = b"".join(generate._counts(n, lo, hi))
     assert len(table) == hi - lo
-    return zip(table, generate._mask_rows(n, lo, hi))
+    return zip(table, generate._mask_rows(n, range(lo, hi)))
 
 
 def _uncapped_counts(n):
@@ -629,7 +639,7 @@ def _uncapped_counts(n):
         return {(): 1}
     below = _uncapped_counts(n - 1)
     counts = {}
-    for rows in generate._mask_rows(n, 0, _masks(n)):
+    for rows in generate._mask_rows(n, range(_masks(n))):
         total = 0 if any(rows) else 1
         for v in range(n):
             if rows[v] >> v & 1:

@@ -694,7 +694,7 @@ def test_check_columns_matches_the_reference_on_every_greedy_root():
     whose greedy ends with no tie and no stall, the pivots and order
     that _decide checks give the reference's failures and weights."""
     checked = 0
-    for rows in generate._mask_rows(5, 0, 1 << 15):
+    for rows in generate._mask_rows(5, range(1 << 15)):
         order, pivots, first_tie, pressed = gf2._greedy(rows, True)
         if first_tie is None and not any(pressed):
             assert recognition._check_columns(pivots, order) == (
