@@ -13,10 +13,10 @@ closed under two extension maps:
 
 Every cup graph on n+1 vertices arises from one on n vertices this way,
 so an L (prepend) / R (append) word names each one; cup_from_choices
-builds it by running the two maps on adjacency rows.  Past its first
-letter, with LR and RL taken as one in each pair (2, 3), (4, 5), ...,
-the word is a ternary code: one word per graph, listed by
-generate_cup, counted by cup_count.
+runs the two maps on the cup's root column weights and builds it from
+them once.  Past its first letter, with LR and RL taken as one in each
+pair (2, 3), (4, 5), ..., the word is a ternary code: one word per
+graph, listed by generate_cup, counted by cup_count.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import _random
 import itertools
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import and_, or_, rshift, xor
 
 from .gf2 import _Record, iter_support
@@ -51,30 +51,34 @@ class NotUniquelyPressableError(ValueError):
     """The input graph is not a canonically labeled cup graph."""
 
 
-def _extend(rows: list[int], looped: int, c: str) -> tuple[list[int], int]:
-    """Extension map c ("R" or "L") on 0-based rows and their looped mask.
+def _grow(weights: list[int], word: Iterable[str]) -> list[int]:
+    """Run word's maps on a cup's root column weights, R in place: R
+    appends n + 1, L prepends 1 and rounds every odd weight up by one."""
+    for c in word:
+        if c == "L":
+            weights = [1, *[w + (w & 1) for w in weights]]
+        elif c == "R":
+            weights.append(len(weights) + 1)
+        else:
+            raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
+    return weights
 
-    Returns the new rows and their looped mask; ``rows`` may be reused.
-    "L" XORs the new vertex 0's row into each old looped row: that
-    toggles every pair inside the old looped set, loops included.
+
+def _gram(weights: Sequence[int]) -> PseudoGraph:
+    """The cup U^T U on 1..n, for U the band of root column weights w.
+
+    Column j of U has ones in rows j - w_j + 1 .. j (property 1), so U's
+    rows are the running XOR of a list that flips bit j at row
+    j - w_j + 1 and again at row j + 1.  Row j of U^T U XORs those rows
+    of U: P[j] ^ P[j - w_j], for P[k] the XOR of U's first k rows.
     """
-    n = len(rows)
-    if c == "R":
-        bit = 1 << n
-        for j in iter_support(looped):
-            rows[j - 1] |= bit
-        if n % 2 == 0:
-            looped |= bit
-        rows.append(looped)
-        return rows, looped
-    if c == "L":
-        new = 1 | looped << 1
-        rows = [new, *[r << 1 for r in rows]]
-        # Old vertex j - 1 is now vertex j.
-        for j in iter_support(looped):
-            rows[j] ^= new
-        return rows, 1
-    raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
+    d = [0] * (len(weights) + 1)
+    for j, w in enumerate(weights):
+        d[j - w + 1] ^= 1 << j
+        d[j + 1] ^= 1 << j
+    p = [0, *itertools.accumulate(itertools.accumulate(d, xor), xor)]
+    rows = [p[j] ^ p[j - w] for j, w in enumerate(weights, 1)]
+    return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), rows)
 
 
 def extend_right(g: PseudoGraph) -> PseudoGraph:
@@ -102,14 +106,12 @@ def _extend_checked(g: PseudoGraph, c: str) -> PseudoGraph:
     n = g.n
     if g.labels != tuple(range(1, n + 1)):
         raise ValueError("labels must be 1..n")
-    reason, _, order, _ = _decide(g.rows)
+    reason, _, order, weights = _decide(g.rows)
     if not n or reason is not None or order != list(range(n)):
         raise NotUniquelyPressableError(
             "input is not a canonically labeled uniquely pressable graph"
         )
-    looped = sum(1 << i for i, r in enumerate(g.rows) if r >> i & 1)
-    rows, _ = _extend(list(g.rows), looped, c)
-    return PseudoGraph._from_rows(tuple(range(1, n + 2)), rows)
+    return _gram(_grow(list(weights), c))
 
 
 def generate_cup(n: int) -> tuple[PseudoGraph, ...]:
@@ -142,13 +144,10 @@ def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
 
     Each element of choices is "R" (append a last-pressed vertex) or
     "L" (prepend a first-pressed vertex); len(choices)+1 vertices
-    result.  The maps run on adjacency rows, with the looped mask
-    carried along.  Distinct words may reach the same graph.
+    result.  The maps run on the root's column weights, and the graph
+    is built from them once.  Distinct words may reach the same graph.
     """
-    rows, looped = [1], 1
-    for c in choices:
-        rows, looped = _extend(rows, looped, c)
-    return PseudoGraph._from_rows(tuple(range(1, len(rows) + 1)), rows)
+    return _gram(_grow([1], choices))
 
 
 def random_cup(n: int, rng: _random.Random | None = None) -> PseudoGraph:
@@ -451,10 +450,9 @@ def _census_range(args: tuple[int, int, int]) -> tuple[int, set]:
     which builds the rows of their high bytes once per 256-mask page.
     They reach the recognizer core, which must say yes on each, for its
     class key: the root column weights w, the padding being n - len(w).
-    By property 1 the ones of column j are rows j - w_j + 1 .. j, so w
-    fixes the root U and with it A = U^T U in press order; and an
-    isomorphism between yes graphs carries one unique sequence onto the
-    other, so two share a key exactly when they are isomorphic.
+    w fixes the core in press order, as _gram(w); and an isomorphism
+    between yes graphs carries one unique sequence onto the other, so
+    two share a key exactly when they are isomorphic.
     """
     n, lo, hi = args
     count, keys = 0, set()

@@ -243,9 +243,11 @@ def _decide(
     Returns ``(reason, column, order, weights)``: the reason code, None
     on yes; the witness column of a PROPk reason, else None; the row
     indices the greedy pressed, in press order, which on yes is the
-    unique pressing sequence; and on yes the root's column weights in
-    press order, one per nonzero row, else ().  Only recognize builds a
-    report.
+    unique pressing sequence; and on yes the root's column weights w in
+    press order, one per nonzero row, else ().  A yes certifies the
+    core: the pivots are its root along the order, and w passes
+    properties 1-4, so in press order the core is U^T U for U the band
+    of w, one of generate_cup's cups.  Only recognize builds a report.
     """
     first = next(filter(None, rows), 0)
     if not first:

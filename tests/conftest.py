@@ -494,7 +494,7 @@ def reference_generate_cup(n: int) -> tuple[PseudoGraph, ...]:
 
     A copy of the edge-set enumeration that the ternary code replaced,
     kept as an oracle for generate_cup's graphs and their order.  It
-    runs the edge-set maps above, not the library's row maps.
+    runs the edge-set maps above, not the library's weight maps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")

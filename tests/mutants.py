@@ -56,9 +56,15 @@ MUTANTS = [
     ),
     (
         "generate.py",
-        "        if n % 2 == 0:\n            looped |= bit\n",
-        "        if n % 2 == 1:\n            looped |= bit\n",
-        "the R map loops the new vertex at the wrong parity of n",
+        "w + (w & 1)",
+        "w | 1",
+        "the L map on weights sets the low bit of each weight",
+    ),
+    (
+        "generate.py",
+        "        d[j + 1] ^= 1 << j\n",
+        "",
+        "the builder runs each column of the band past its diagonal",
     ),
     (
         "graphs.py",

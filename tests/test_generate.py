@@ -6,8 +6,6 @@ import multiprocessing
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     exactly,
@@ -110,31 +108,19 @@ def test_extend_rejects_non_unique_inputs():
                 extend(g)
 
 
-@st.composite
-def _arbitrary_graphs(draw):
-    """Any graph on labels 1..n, n <= 10: loops, isolated vertices and
-    disconnected parts included."""
-    n = draw(st.integers(0, 10))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u, n + 1)]
-    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
-    return PseudoGraph(range(1, n + 1), edges)
-
-
-@settings(max_examples=300, deadline=None)
-@given(g=_arbitrary_graphs())
-def test_extensions_match_the_edge_set_maps_on_any_graph(g):
-    """The row maps behind extend_right and extend_left are the
-    edge-set maps on every graph, not only on cups, and carry its
-    looped mask."""
-    labels = tuple(range(1, g.n + 2))
-    for c, h in (
-        ("R", reference_extend_right(g)),
-        ("L", reference_extend_left(shifted(g))),
-    ):
-        looped = sum(1 << (v - 1) for v in g.looped_vertices())
-        rows, looped = generate._extend(list(g.rows), looped, c)
-        assert PseudoGraph._from_rows(labels, rows) == h
-        assert looped == sum(1 << (v - 1) for v in h.looped_vertices())
+def test_cup_from_choices_runs_the_edge_set_maps_on_every_word():
+    """The weight rule behind cup_from_choices reaches, word by word, the
+    graph that the edge-set maps build from the single loop, for every
+    word with n <= 12."""
+    level = {"": K1_LOOP}
+    for _ in range(11):
+        level = {
+            word + c: reference_extend_right(g) if c == "R"
+            else reference_extend_left(shifted(g))
+            for word, g in level.items() for c in "LR"
+        }
+        for word, g in level.items():
+            assert cup_from_choices(word) == g, word
 
 
 # ------------------------------------------------------------ enumeration
@@ -267,16 +253,22 @@ def test_all_pseudographs_tables_are_bounded():
     assert chunk == want
 
 
-def _weight_class(n, weights):
-    """A graph of the class keyed by root column weights: U has ones in
-    rows j - w_j + 1 .. j of column j, the core is U^T U in press order,
-    and n - len(weights) zero rows pad it."""
-    k = len(weights)
-    u = [0] * k
+def _band(weights):
+    """The root U of column weights w, bit by bit: column j has ones in
+    rows j - w_j + 1 .. j."""
+    u = [0] * len(weights)
     for j, w in enumerate(weights):
         for i in range(j - w + 1, j + 1):
             u[i] |= 1 << j
-    core = transpose_mul(BitMatrix(k, u)).row_bits
+    return u
+
+
+def _weight_class(n, weights):
+    """A graph of the class keyed by root column weights: the core is
+    U^T U in press order, for U their band, and n - len(weights) zero
+    rows pad it."""
+    k = len(weights)
+    core = transpose_mul(BitMatrix(k, _band(weights))).row_bits
     return PseudoGraph._from_rows(
         tuple(range(1, n + 1)), core + (0,) * (n - k)
     )
@@ -285,7 +277,9 @@ def _weight_class(n, weights):
 def test_weight_key_agrees_with_canonical_form():
     """Over every yes graph at n <= 5, the root's column weights and
     canonical_form induce the same classes: total_count(n) of them, of
-    which the weight tuples of length n number cup_count(n)."""
+    which the weight tuples of length n number cup_count(n).  The
+    census's keys are those classes, and exactly the valid w of every
+    length up to n."""
     for n in range(0, 6):
         key_to_form = {}
         form_to_key = {}
@@ -300,7 +294,7 @@ def test_weight_key_agrees_with_canonical_form():
         assert sum(len(key) == n for key in key_to_form) == cup_count(n)
         masks = 2 ** (n * (n + 1) // 2)
         _, classes = generate._census_range((n, 0, masks))
-        assert classes == set(key_to_form)
+        assert classes == set(key_to_form) == _valid_weights_up_to(n)
 
 
 def test_weight_key_rebuilds_the_core_past_n_5():
@@ -360,13 +354,15 @@ def _weights_agree_with_generate(n):
     assert set(graphs) == set(generate_cup(n))
     for w, g in zip(weights, graphs):
         assert recognition._decide(g.rows)[3] == w
+        assert generate._gram(w) == g
 
 
 @pytest.mark.parametrize("n", range(1, 15))
 def test_weight_sequences_generate_the_cups(n):
     """A third generator, from the root's column weights alone: the
     valid weight sequences build, as U^T U, exactly generate_cup(n),
-    and the recognizer reads each one's weights back off its graph."""
+    and the recognizer reads each one's weights back off its graph.
+    The library's prefix-XOR builder gives that U^T U on each w."""
     _weights_agree_with_generate(n)
 
 
@@ -374,6 +370,60 @@ def test_weight_sequences_generate_the_cups(n):
 @pytest.mark.parametrize("n", range(16, 21))
 def test_weight_sequences_generate_the_cups_past_fourteen(n):
     _weights_agree_with_generate(n)
+
+
+def _valid_weights(n):
+    """Every nondecreasing w of length n with w_1 = 1 and w_j <= j whose
+    band passes the recognizer's column check: the paper's
+    characterization tried on each such w in turn, with no extension
+    map and no ternary code.  n = 0 has the empty w."""
+    def nondecreasing(w):
+        if len(w) == n:
+            yield w
+            return
+        for x in range(w[-1], len(w) + 2):
+            yield from nondecreasing((*w, x))
+
+    for w in nondecreasing((1,)) if n else [()]:
+        fails, weights = recognition._check_columns(_band(w), range(n))
+        if fails == (None,) * 4:
+            assert weights == w
+            yield w
+
+
+def _valid_weights_are_the_cups(n):
+    valid = list(_valid_weights(n))
+    assert len(valid) == cup_count(n)
+    cups = [generate._gram(w) for w in valid]
+    assert sorted(g.rows for g in cups) == [g.rows for g in generate_cup(n)]
+    for w, g in zip(valid, cups):
+        assert recognition._decide(g.rows) == (None, None, [*range(n)], w)
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_valid_weights_are_the_generated_cups(n):
+    """The valid w number cup_count(n); the cups built from them are
+    generate_cup(n), each once; and _decide says yes on each, in label
+    order, with its w."""
+    _valid_weights_are_the_cups(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [11, 12])
+def test_valid_weights_are_the_generated_cups_past_ten(n):
+    _valid_weights_are_the_cups(n)
+
+
+def _valid_weights_up_to(n):
+    return {w for k in range(n + 1) for w in _valid_weights(k)}
+
+
+@pytest.mark.slow
+def test_census_keys_are_the_valid_weights_at_six():
+    """As at n <= 5: the census's class keys over all masks are exactly
+    the valid w of every length up to n."""
+    _, keys = generate._census_range((6, 0, _masks(6)))
+    assert keys == _valid_weights_up_to(6)
 
 
 def test_census_range_matches_a_public_recognize_sweep():
