@@ -12,17 +12,71 @@ from .gf2 import *
 from .graphs import *
 from .cholesky import *
 from .recognition import *
-from .generate import *
-from . import cholesky, generate, gf2, graphs, recognition
+from . import cholesky, gf2, graphs, recognition
 
 __version__ = "0.1.0"
 
-# Each module's own __all__ is the one list of its public names.
-__all__ = [
-    "__version__",
-    *gf2.__all__,
-    *graphs.__all__,
-    *cholesky.__all__,
-    *recognition.__all__,
-    *generate.__all__,
-]
+
+def _lazy(name: str):
+    """Module name, put in sys.modules now but run on its first use."""
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    if name in sys.modules:  # a reload of the package keeps it
+        return sys.modules[name]
+    spec = find_spec(name)
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Of the commands only generate, count and census use generate, so the
+# others would compile and run it for nothing at every start-up.  It is
+# in sys.modules from here on, and runs when one of its names is first
+# read, through the module or through __getattr__ below.
+generate = _lazy(__name__ + ".generate")
+del _lazy
+
+
+def __getattr__(name: str):
+    """Bind generate's public names and __all__ on first use of one.
+
+    Each module's own __all__ is the one list of its public names; the
+    set below only tells generate's apart without running it, and a
+    test holds it to generate.__all__.  Any other name is missing, as
+    it is from a module without this hook.
+    """
+    if name not in {
+        "__all__",
+        "NotUniquelyPressableError",
+        "extend_right",
+        "extend_left",
+        "generate_cup",
+        "cup_from_choices",
+        "random_cup",
+        "cup_count",
+        "total_count",
+        "all_pseudographs",
+        "canonical_form",
+        "CensusResult",
+        "census",
+    }:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = globals()
+    names.update((key, getattr(generate, key)) for key in generate.__all__)
+    names["__all__"] = [
+        "__version__",
+        *gf2.__all__,
+        *graphs.__all__,
+        *cholesky.__all__,
+        *recognition.__all__,
+        *generate.__all__,
+    ]
+    return names[name]
+
+
+def __dir__() -> list[str]:
+    """dir(pressgraph) lists generate's names too, binding them first."""
+    __getattr__("__all__")
+    return sorted(globals())

@@ -19,10 +19,10 @@ import sys
 from functools import cache
 
 from .cholesky import NotOrderPressableError, _root_rows
-from .generate import CENSUS_MAX_N, _cups, census, cup_count, total_count
 from .gf2 import BitMatrix, _echo
 from .graphs import InvalidPressError, PseudoGraph, _read, parse_auto
 from .recognition import (
+    CENSUS_MAX_N,
     ORACLE_MAX_N,
     OracleBoundError,
     count_sequences_bruteforce,
@@ -40,7 +40,8 @@ GENERATE_MAX_N = 22
 
 # A string literal: argparse quotes a bad choice, or an ignored explicit
 # argument, in repr, and either may be the part of a token after "=".
-_LITERAL = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+# Only an error reads it, so it is compiled there, through re's cache.
+_LITERAL = r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"'
 
 
 def _cut(text: str, quote: str = "") -> str:
@@ -62,7 +63,9 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message: str):
-        message = _LITERAL.sub(lambda m: _cut(m[0][1:-1], m[0][0]), message)
+        message = re.sub(
+            _LITERAL, lambda m: _cut(m[0][1:-1], m[0][0]), message
+        )
         # An unrecognized argument or an ambiguous option is quoted bare
         # and whole; the longest first, as a shorter one may lie in it.
         for token in sorted(self._tokens, key=len, reverse=True):
@@ -185,6 +188,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"generate of n={args.n} exceeds bound {GENERATE_MAX_N}"
         )
+    # Imported here, as in count and census: no other command runs it.
+    from .generate import _cups
+
     # Each graph is written as soon as it is built, blank-line separated.
     sep = ""
     for g in _cups(args.n):
@@ -201,6 +207,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     # is imported here so that other commands do not pay for it.
     from decimal import Decimal
 
+    from .generate import cup_count, total_count
+
     cup = Decimal(cup_count(args.n))
     total = Decimal(total_count(args.n))
     sys.stdout.write(f"cup={cup} total={total}\n")
@@ -208,6 +216,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
+    from .generate import census
+
     sys.stdout.write(census(args.n, jobs=args.jobs).to_text())
     return 0
 

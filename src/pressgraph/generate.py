@@ -29,7 +29,7 @@ from operator import and_, or_, rshift, xor
 
 from .gf2 import _Record, iter_support
 from .graphs import PseudoGraph
-from .recognition import _decide
+from .recognition import CENSUS_MAX_N, _decide
 
 __all__ = [
     "NotUniquelyPressableError",
@@ -51,17 +51,30 @@ class NotUniquelyPressableError(ValueError):
     """The input graph is not a canonically labeled cup graph."""
 
 
-def _grow(weights: list[int], word: Iterable[str]) -> list[int]:
-    """Run word's maps on a cup's root column weights, R in place: R
-    appends n + 1, L prepends 1 and rounds every odd weight up by one."""
-    for c in word:
+def _grow(weights: Sequence[int], word: Iterable[str]) -> list[int]:
+    """Run word's maps on a cup's root column weights: R appends n + 1,
+    L prepends 1 and rounds every odd weight up by one.
+
+    Rounding twice changes nothing, so each weight is the one it was
+    made with, rounded once if an L comes after it: an L makes 1, and
+    the t-th letter (from 0), if R, makes len(weights) + t + 1.  The L
+    weights lie newest first, then the given ones, then the R weights.
+    """
+    made = list(weights)
+    lefts = last = 0
+    for t, c in enumerate(word, len(made) + 1):
         if c == "L":
-            weights = [1, *[w + (w & 1) for w in weights]]
+            # The weights made so far all come before this L.
+            lefts, last = lefts + 1, len(made)
         elif c == "R":
-            weights.append(len(weights) + 1)
+            made.append(t)
         else:
             raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
-    return weights
+    if not lefts:
+        return made
+    # The newest L's 1 has no L after it; each older L's is rounded to 2.
+    ones = [1, *[2] * (lefts - 1)]
+    return [*ones, *[w + (w & 1) for w in made[:last]], *made[last:]]
 
 
 def _gram(weights: Sequence[int]) -> PseudoGraph:
@@ -111,7 +124,7 @@ def _extend_checked(g: PseudoGraph, c: str) -> PseudoGraph:
         raise NotUniquelyPressableError(
             "input is not a canonically labeled uniquely pressable graph"
         )
-    return _gram(_grow(list(weights), c))
+    return _gram(_grow(weights, c))
 
 
 def generate_cup(n: int) -> tuple[PseudoGraph, ...]:
@@ -484,10 +497,6 @@ def _census_chunks(n: int, jobs: int) -> list[tuple[int, int, int]]:
     workers = min(jobs, total, os.cpu_count() or 1)
     step = -(-total // workers)
     return [(n, lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-CENSUS_MAX_N = 7
-"""Largest n that census accepts: 2^28 graphs."""
 
 
 def census(n: int, jobs: int = 1) -> CensusResult:

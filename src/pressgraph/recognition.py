@@ -54,6 +54,14 @@ about 5 times as much.
 """
 
 
+CENSUS_MAX_N = 7
+"""Largest n that generate.census accepts: 2^28 graphs.
+
+It is kept here, beside ORACLE_MAX_N, so that the CLI's help can quote
+it without loading generate.
+"""
+
+
 class OracleBoundError(ValueError):
     """The graph exceeds the configured brute-force size bound."""
 

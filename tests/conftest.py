@@ -135,6 +135,25 @@ def reference_extend_left(g):
     return PseudoGraph((1,) + g.labels, (g.edges ^ toggle) | new_edges)
 
 
+def reference_grow(weights, word):
+    """Run word's maps on root column weights, one letter at a time.
+
+    A copy of generate._grow from before it made each weight once, kept
+    as an oracle: R appends n + 1, L prepends 1 and rounds every odd
+    weight up by one, so each L rewrites every earlier weight.  The
+    first letter that is neither raises the library's ValueError.
+    """
+    weights = list(weights)
+    for c in word:
+        if c == "L":
+            weights = [1, *[w + (w & 1) for w in weights]]
+        elif c == "R":
+            weights.append(len(weights) + 1)
+        else:
+            raise ValueError(f"choice must be 'L' or 'R', got {c!r}")
+    return weights
+
+
 def naive_greedy(g):
     """The max-degree greedy by the definition, on edge sets.
 

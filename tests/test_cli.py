@@ -22,7 +22,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pressgraph
-from conftest import naive_press, quoted, reference_generate_cup, run_cli
+from conftest import (
+    exactly,
+    naive_press,
+    quoted,
+    reference_generate_cup,
+    run_cli,
+)
 from pressgraph import (
     BitMatrix,
     InvalidPressError,
@@ -782,12 +788,14 @@ def test_generate_writes_each_graph_as_it_is_built(monkeypatch):
 def test_generate_bound(monkeypatch):
     """generate N builds nothing above GENERATE_MAX_N and runs at it."""
     calls = []
+    # Built before the patch, as generate_cup reads the patched _cups.
+    one = generate.generate_cup(1)
 
     def stand_in(n):
         calls.append(n)
-        return generate.generate_cup(1)
+        return one
 
-    monkeypatch.setattr(cli, "_cups", stand_in)
+    monkeypatch.setattr(generate, "_cups", stand_in)
     code, out, err = run_cli(["generate", str(GENERATE_MAX_N)])
     assert (code, out, err) == (0, "1\n1\n1 1\n", "")
     assert calls == [GENERATE_MAX_N]
@@ -795,7 +803,7 @@ def test_generate_bound(monkeypatch):
     def refuse(n):
         raise AssertionError("generate built graphs above its bound")
 
-    monkeypatch.setattr(cli, "_cups", refuse)
+    monkeypatch.setattr(generate, "_cups", refuse)
     for n in (GENERATE_MAX_N + 1, 40):
         code, out, err = run_cli(["generate", str(n)])
         assert (code, out) == (2, "")
@@ -889,6 +897,20 @@ def test_census_needs_no_flag_from_zero_to_six():
     )
 
 
+def _fresh(flags, code):
+    """Run code in a fresh interpreter with only this pressgraph on its
+    path and no bytecode written; returns (exit code, stdout)."""
+    src = Path(pressgraph.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        timeout=60,
+    )
+    return proc.returncode, proc.stdout
+
+
 @pytest.mark.parametrize(
     "flags, modules",
     [
@@ -904,19 +926,82 @@ def test_census_needs_no_flag_from_zero_to_six():
     ids=("multiprocessing", "dataclasses", "inspect", "no-site"),
 )
 def test_cli_import_leaves_out(flags, modules):
-    src = Path(pressgraph.__file__).resolve().parents[1]
     code = (
         "import pressgraph.cli, sys; "
         f"print(sorted(set({modules!r}) & set(sys.modules)))"
     )
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
-        timeout=60,
+    assert _fresh(flags, code) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=("site", "no-site"))
+@pytest.mark.parametrize(
+    "statement", ["import pressgraph.cli as cli", "from pressgraph import cli"]
+)
+def test_cli_import_runs_no_code_of_generate(flags, statement):
+    """Importing the CLI, by either form, runs none of generate's code
+    (an audit hook sees each code object the importer executes), and
+    the parser's census help still quotes the cap; count runs it."""
+    code = (
+        "import sys\n"
+        "ran = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        ran.append(getattr(args[0], 'co_filename', ''))\n"
+        "sys.addaudithook(hook)\n"
+        f"{statement}\n"
+        "cli._build_parser()\n"
+        "before = sum(f.endswith('generate.py') for f in ran)\n"
+        "cli.main(['count', '3'])\n"
+        "print(before, sum(f.endswith('generate.py') for f in ran))\n"
     )
-    assert (proc.returncode, proc.stdout) == (0, "[]\n")
+    assert _fresh(flags, code) == (0, "cup=2 total=5\n0 1\n")
+
+
+def test_star_import_binds_every_public_name():
+    """from pressgraph import * in a fresh process binds each name of
+    pressgraph.__all__, generate's among them, to the package's own."""
+    code = (
+        "from pressgraph import *\n"
+        "import pressgraph\n"
+        "print([n for n in pressgraph.__all__\n"
+        "       if globals().get(n) is not getattr(pressgraph, n)])\n"
+    )
+    assert _fresh((), code) == (0, "[]\n")
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_census_on_workers_from_a_fresh_package(method):
+    """census(4, jobs=2), read off a freshly imported package, runs its
+    workers, which import generate by themselves under spawn."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    code = (
+        "import multiprocessing, pressgraph\n"
+        f"multiprocessing.set_start_method({method!r})\n"
+        "print(pressgraph.census(4, jobs=2).to_text(), end='')\n"
+    )
+    want = "n=4 labeled_total=137 up_iso_classes=8 cup_iso_classes=3\n"
+    assert _fresh((), code) == (0, want)
+
+
+def test_package_hook_knows_generate_names_alone():
+    """The package resolves each of generate's public names, and no
+    other, through its __getattr__; dir lists them all."""
+    known = [
+        c for c in pressgraph.__getattr__.__code__.co_consts
+        if isinstance(c, frozenset)
+    ]
+    assert known == [frozenset({"__all__", *generate.__all__})]
+    for name in generate.__all__:
+        assert pressgraph.__getattr__(name) is getattr(generate, name)
+    assert pressgraph.__getattr__("__all__") == pressgraph.__all__
+    for name in ("cli", "_cups", "__wrapped__"):
+        with pytest.raises(AttributeError, match=exactly(
+            f"module 'pressgraph' has no attribute {name!r}"
+        )):
+            pressgraph.__getattr__(name)
+    assert set(pressgraph.__all__) <= set(dir(pressgraph))
+    assert dir(pressgraph) == sorted(vars(pressgraph))
 
 
 # ---------------------------------------------------------------- convert

@@ -12,6 +12,7 @@ from conftest import (
     reference_extend_left,
     reference_extend_right,
     reference_generate_cup,
+    reference_grow,
     reference_peel,
     reference_press,
     shifted,
@@ -121,6 +122,33 @@ def test_cup_from_choices_runs_the_edge_set_maps_on_every_word():
         }
         for word, g in level.items():
             assert cup_from_choices(word) == g, word
+
+
+def test_grow_matches_the_per_letter_rule_on_random_words():
+    """Each weight made once, rounded once if an L follows it, is what
+    rewriting every weight at each letter gives, from any cup's weights
+    and for words of either bias."""
+    rng = random.Random(11)
+    for trial in range(1500):
+        start = reference_grow([1], rng.choices("LR", k=rng.randrange(20)))
+        word = "".join(rng.choices("LR" if trial % 2 else "LRRR", k=40))
+        assert generate._grow(start, word) == reference_grow(start, word)
+
+
+@pytest.mark.parametrize("word", [
+    "L" * 2047, "R" * 2047, "RRRL" * 511 + "RRR"
+], ids=("all-L", "all-R", "three-R-to-one-L"))
+def test_grow_matches_the_per_letter_rule_at_2048(word):
+    assert generate._grow([1], word) == reference_grow([1], word)
+
+
+@pytest.mark.parametrize("word", ["X", "LRx", "RRL?", ["R", "LR"]])
+def test_grow_names_the_first_bad_letter(word):
+    bad = next(c for c in word if c not in ("L", "R"))
+    message = f"choice must be 'L' or 'R', got {bad!r}"
+    for grow in (generate._grow, reference_grow):
+        with pytest.raises(ValueError, match=exactly(message)):
+            grow([1], iter(word))
 
 
 # ------------------------------------------------------------ enumeration
