@@ -21,9 +21,9 @@ graph, listed by generate_cup, counted by cup_count.
 
 from __future__ import annotations
 
-import _random
 import itertools
 import os
+import random
 from collections.abc import Iterable, Iterator, Sequence
 from operator import and_, or_, rshift, xor
 
@@ -163,20 +163,15 @@ def cup_from_choices(choices: Iterable[str]) -> PseudoGraph:
     return _gram(_grow([1], choices))
 
 
-def random_cup(n: int, rng: _random.Random | None = None) -> PseudoGraph:
+def random_cup(n: int, rng: random.Random | None = None) -> PseudoGraph:
     """A pseudo-random cup graph on n vertices (not uniform over them).
 
-    ``rng`` is a ``random.Random``, by default the random module's own.
-    Its annotation names the C base class of ``random.Random``, so that
-    ``typing.get_type_hints`` resolves it while the random module stays
-    out of every command's start-up.
+    ``rng`` defaults to the random module's own generator.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if rng is None:
-        # Imported here: it costs every command's start-up otherwise.
-        import random as rng
-    return cup_from_choices(rng.choice("LR") for _ in range(n - 1))
+    choice = random.choice if rng is None else rng.choice
+    return cup_from_choices(choice("LR") for _ in range(n - 1))
 
 
 def cup_count(n: int) -> int:

@@ -61,6 +61,7 @@ PENDANT = str(DATA / "pendant_loop.graph")
 LOOP_PATH4 = str(DATA / "loop_path4.graph")
 REVERSED = str(DATA / "reversed_pair.graph")
 CUP12 = str(DATA / "cup12.graph")
+MIRROR16 = str(DATA / "mirror16.graph")
 
 
 # -------------------------------------------------------------- recognize
@@ -79,6 +80,8 @@ def test_recognize_accepts_loop_path():
 
 def test_recognize_no_tie():
     code, out, _ = run_cli(["recognize", TIE4])
+    assert (code, out) == (1, "verdict: no\nreason: TIE\n")
+    code, out, _ = run_cli(["recognize", MIRROR16])
     assert (code, out) == (1, "verdict: no\nreason: TIE\n")
 
 
@@ -124,6 +127,11 @@ def test_recognize_oracle_bound_appends_count():
     assert (code, out) == (1, "verdict: no\nreason: TIE\nsequences: 2\n")
     code, out, _ = run_cli(["recognize", "--oracle-bound", "4", CUP2])
     assert (code, out) == (0, "verdict: yes\nsequence: 1 2\nsequences: 1\n")
+    # The greedy defers its presses through gf2's table of pivot sums;
+    # brute force presses each state through gf2._press.
+    code, out, _ = run_cli(["recognize", "--oracle-bound", "12", CUP12])
+    seq = " ".join(map(str, range(1, 13)))
+    assert (code, out) == (0, f"verdict: yes\nsequence: {seq}\nsequences: 1\n")
 
 
 def test_recognize_oracle_cap_overrides_the_flag(monkeypatch):
@@ -170,6 +178,31 @@ def test_recognize_oracle_cap_overrides_the_flag(monkeypatch):
 def test_recognize_reads_stdin():
     code, out, _ = run_cli(["recognize", "-"], stdin="2\n1 2\n1 1\n1 2\n")
     assert (code, out) == (0, "verdict: yes\nsequence: 1 2\n")
+
+
+def test_recognize_names_the_first_edge_that_leaves_the_graph():
+    code, out, err = run_cli(["recognize", "-"], stdin="2\n1 2\n1 2\n1 9\n")
+    assert (code, out, err) == (
+        2, "", "error: line 4: edge (1, 9) leaves the graph\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["recognize", "convert"])
+@pytest.mark.parametrize("name", ["cup2", "mirror16"])
+def test_crlf_copy_prints_what_the_lf_file_prints(tmp_path, name, command):
+    """A CRLF copy of a fixture prints what the LF file prints, with the
+    same exit code: opened by path it loses its CRs to universal
+    newlines, and read from stdin it keeps them, so the parser's line
+    loop reads it.  mirror16 is dense, so by path its edges go through
+    the parser's byte lanes."""
+    lf = DATA / f"{name}.graph"
+    crlf = tmp_path / lf.name
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    want = run_cli([command, str(lf)])
+    assert want[0] in (0, 1) and want[1] and not want[2]
+    assert run_cli([command, str(crlf)]) == want
+    stdin = crlf.read_bytes().decode()
+    assert run_cli([command, "-"], stdin=stdin) == want
 
 
 def test_recognize_empty_file(tmp_path):
@@ -748,6 +781,17 @@ def test_generate_bytes_match_the_reference(n):
     assert (code, out, err) == (0, expected, "")
 
 
+def test_generate_16_bytes_are_pinned():
+    """All 2,187 cups on 16 vertices, built from their root column
+    weights, byte for byte."""
+    code, out, err = run_cli(["generate", "16"])
+    assert (code, err) == (0, "")
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == (
+        "4ffabaafdd6d42bc8c0e1405d81f9d4b8350ee46b6fad1c92d275ab0d9cf5de8"
+    )
+
+
 @pytest.mark.slow
 def test_generate_22_bytes_are_pinned():
     """generate at the bound prints the same 3^10 graphs, byte for byte,
@@ -856,7 +900,37 @@ def test_census_golden():
 def test_census_jobs_flag_changes_nothing():
     solo = run_cli(["census", "3"])
     duo = run_cli(["census", "3", "--jobs", "2"])
-    assert solo == duo
+    assert solo == duo == (
+        0, "n=3 labeled_total=22 up_iso_classes=5 cup_iso_classes=2\n", ""
+    )
+    assert run_cli(["census", "4", "--jobs", "2"]) == (
+        0, "n=4 labeled_total=137 up_iso_classes=8 cup_iso_classes=3\n", ""
+    )
+
+
+def test_census_five_alone_and_on_two_and_three_workers(monkeypatch):
+    """census 5 prints the same line in this process and on two and on
+    three worker processes.  With the CPU count patched to 3, on any
+    host, the three workers' ranges start at masks 0, 10,923 and
+    21,846, the last two inside blocks of 512 masks of the count
+    table."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    sizes = []
+    pool = multiprocessing.Pool
+
+    def counted_pool(processes):
+        sizes.append(processes)
+        return pool(processes)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counted_pool)
+    starts = [lo for _, lo, _ in generate._census_chunks(5, 3)]
+    assert starts == [0, 10923, 21846]
+    want = (
+        0, "n=5 labeled_total=1226 up_iso_classes=14 cup_iso_classes=6\n", ""
+    )
+    for jobs in ("1", "2", "3"):
+        assert run_cli(["census", "5", "--jobs", jobs]) == want
+    assert sizes == [2, 3]
 
 
 def test_census_over_bound_is_usage_error(refuse_census_work):
@@ -909,6 +983,15 @@ def _fresh(flags, code):
         timeout=60,
     )
     return proc.returncode, proc.stdout
+
+
+@pytest.mark.parametrize("flags", [(), ("-S",)], ids=("site", "no-site"))
+def test_fresh_interpreters_import_this_pressgraph(flags):
+    """_fresh's children, with and without site, import the copy of the
+    package that this suite imports, from src/ or installed alike."""
+    code, out = _fresh(flags, "import pressgraph.cli as c; print(c.__file__)")
+    assert code == 0
+    assert Path(out.rstrip("\n")).resolve() == Path(cli.__file__).resolve()
 
 
 @pytest.mark.parametrize(
@@ -1021,11 +1104,22 @@ def test_convert_round_trip_is_identity(tmp_path):
     back.write_text(first[1])
     second = run_cli(["convert", str(back)])
     assert second[1] == Path(CUP2).read_text()
+    assert run_cli(["convert", "-"], stdin=first[1]) == second
 
 
 def test_convert_explicit_target():
     code, out, _ = run_cli(["convert", "--format", "graph", CUP2])
     assert (code, out) == (0, "2\n1 2\n1 1\n1 2\n")
+
+
+def test_convert_reads_a_zero_label_line_as_a_matrix():
+    """A label is positive, so the lines 1 and 0 are the 1x1 zero
+    matrix, whose graph has one loopless vertex; a line after the matrix
+    is named."""
+    assert run_cli(["convert", "-"], stdin="1\n0\n") == (0, "1\n1\n", "")
+    assert run_cli(["convert", "-"], stdin="1\n0\n0\n") == (
+        2, "", "error: line 3: unexpected content after the matrix\n"
+    )
 
 
 def test_convert_writes_dot(tmp_path):

@@ -650,8 +650,8 @@ def test_a_repeated_edge_is_read_once_by_the_chunk_reader(n):
 
 
 def test_the_dense_fixture_reads_alike_through_lanes_and_the_line_loop():
-    """tests/data/mirror16.graph, which CI reads by path (LF) and from
-    standard input with CRLF line ends, is dense: its LF text is read
+    """tests/data/mirror16.graph, which test_cli reads by path (LF) and
+    from standard input with CRLF line ends, is dense: its LF text is read
     whole through byte lanes, and its CRLF copy through the line loop,
     to the same graph."""
     text = (Path(__file__).parent / "data" / "mirror16.graph").read_text()
