@@ -10,9 +10,7 @@ do, and counts the successful sequences of small graphs by brute force.
 
 from .gf2 import *
 from .graphs import *
-from .cholesky import *
-from .recognition import *
-from . import cholesky, gf2, graphs, recognition
+from . import gf2, graphs
 
 __version__ = "0.1.0"
 
@@ -31,24 +29,44 @@ def _lazy(name: str):
     return module
 
 
-# Of the commands only generate, count and census use generate, so the
-# others would compile and run it for nothing at every start-up.  It is
-# in sys.modules from here on, and runs when one of its names is first
-# read, through the module or through __getattr__ below.
+# recognize runs recognition, root runs cholesky, and generate, count
+# and census run generate, which imports recognition; press and convert
+# run none of the three.  So that no command compiles or runs one for
+# nothing at start-up, each is in sys.modules from here on, and runs
+# when one of its names is first read, through the module or through
+# __getattr__ below.
+cholesky = _lazy(__name__ + ".cholesky")
+recognition = _lazy(__name__ + ".recognition")
 generate = _lazy(__name__ + ".generate")
 del _lazy
 
 
 def __getattr__(name: str):
-    """Bind generate's public names and __all__ on first use of one.
+    """Bind the lazy modules' public names and __all__ on first use of one.
 
     Each module's own __all__ is the one list of its public names; the
-    set below only tells generate's apart without running it, and a
-    test holds it to generate.__all__.  Any other name is missing, as
-    it is from a module without this hook.
+    set below only tells the lazy modules' names apart without running
+    them, and a test holds it to their __all__.  Any other name is
+    missing, as it is from a module without this hook.
     """
     if name not in {
         "__all__",
+        "CholeskyRoot",
+        "PressingOrder",
+        "NotOrderPressableError",
+        "UnpressableError",
+        "instructional_root",
+        "find_pressing_order",
+        "PropertyReport",
+        "RecognitionReport",
+        "OracleBoundError",
+        "REASON_MULTI_COMPONENT",
+        "REASON_UNPRESSABLE",
+        "REASON_TIE",
+        "check_properties",
+        "recognize",
+        "count_sequences_bruteforce",
+        "pressing_length",
         "NotUniquelyPressableError",
         "extend_right",
         "extend_left",
@@ -64,7 +82,8 @@ def __getattr__(name: str):
     }:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = globals()
-    names.update((key, getattr(generate, key)) for key in generate.__all__)
+    for module in (cholesky, recognition, generate):
+        names.update((key, getattr(module, key)) for key in module.__all__)
     names["__all__"] = [
         "__version__",
         *gf2.__all__,
@@ -77,6 +96,6 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    """dir(pressgraph) lists generate's names too, binding them first."""
+    """dir(pressgraph) lists the lazy modules' names, binding them first."""
     __getattr__("__all__")
     return sorted(globals())

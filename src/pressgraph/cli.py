@@ -18,16 +18,19 @@ import re
 import sys
 from functools import cache
 
-from .cholesky import NotOrderPressableError, _root_rows
 from .gf2 import BitMatrix, _echo
-from .graphs import InvalidPressError, PseudoGraph, _read, parse_auto
-from .recognition import (
+from .graphs import (
     CENSUS_MAX_N,
     ORACLE_MAX_N,
-    OracleBoundError,
-    count_sequences_bruteforce,
-    recognize,
+    InvalidPressError,
+    PseudoGraph,
+    _read,
+    parse_auto,
 )
+
+# recognition, cholesky and generate are each imported inside the
+# commands that run them, so that no other command compiles or runs
+# them: the package only registers them, to load on first use.
 
 __all__ = ["main"]
 
@@ -142,6 +145,12 @@ def _int_arg(raw: str) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    from .recognition import (
+        OracleBoundError,
+        count_sequences_bruteforce,
+        recognize,
+    )
+
     g = _load_graph(_read_input(args.input), args.format)
     bound = args.oracle_bound
     if bound is not None:
@@ -175,10 +184,16 @@ def _cmd_press(args: argparse.Namespace) -> int:
 
 
 def _cmd_root(args: argparse.Namespace) -> int:
+    from .cholesky import NotOrderPressableError, _root_rows
+
     g = _load_graph(_read_input(args.input), args.format)
     # The rows are symmetric by construction: graph text sets both
     # bits of every edge, and matrix text passed from_adjacency.
-    root = _root_rows(list(g.rows))
+    try:
+        root = _root_rows(list(g.rows))
+    except NotOrderPressableError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     sys.stdout.write(BitMatrix(g.n, root).to_text())
     return 0
 
@@ -188,7 +203,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         raise ValueError(
             f"generate of n={args.n} exceeds bound {GENERATE_MAX_N}"
         )
-    # Imported here, as in count and census: no other command runs it.
     from .generate import _cups
 
     # Each graph is written as soon as it is built, blank-line separated.
@@ -335,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (InvalidPressError, NotOrderPressableError) as exc:
+    except InvalidPressError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

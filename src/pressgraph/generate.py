@@ -28,8 +28,8 @@ from collections.abc import Iterable, Iterator, Sequence
 from operator import and_, or_, rshift, xor
 
 from .gf2 import _Record, iter_support
-from .graphs import PseudoGraph
-from .recognition import CENSUS_MAX_N, _decide
+from .graphs import CENSUS_MAX_N, PseudoGraph
+from .recognition import _decide
 
 __all__ = [
     "NotUniquelyPressableError",

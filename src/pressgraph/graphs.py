@@ -39,6 +39,22 @@ of rows, since a row with an edge to index k takes k bits.  Dense text
 is read through byte lanes of n * n bytes, 256 MiB at the bound, but
 only when the text itself is at least half that long (``_DENSE``)."""
 
+ORACLE_MAX_N = 16
+"""Largest n that count_sequences_bruteforce counts, whatever its bound.
+
+The brute-force memo holds up to 2^n states: 16 looped isolated
+vertices take about 1 s and 33 MiB, and each two more vertices cost
+about 5 times as much.
+"""
+
+CENSUS_MAX_N = 7
+"""Largest n that generate.census accepts: 2^28 graphs.
+
+This cap and ORACLE_MAX_N are kept here, in a module every command
+loads, so that the CLI's help can quote them without loading
+recognition or generate.
+"""
+
 
 class GraphFormatError(ValueError):
     """Malformed graph text."""

@@ -24,8 +24,7 @@ from itertools import compress
 from operator import not_
 
 from .gf2 import BitMatrix, _greedy, _press, _rank, _Record, iter_support
-from .graphs import PseudoGraph, _reach
-from .cholesky import UnpressableError
+from .graphs import ORACLE_MAX_N, PseudoGraph, _reach
 
 __all__ = [
     "PropertyReport",
@@ -43,23 +42,6 @@ __all__ = [
 REASON_MULTI_COMPONENT = "MULTI_COMPONENT"
 REASON_UNPRESSABLE = "UNPRESSABLE"
 REASON_TIE = "TIE"
-
-
-ORACLE_MAX_N = 16
-"""Largest n that count_sequences_bruteforce counts, whatever its bound.
-
-The brute-force memo holds up to 2^n states: 16 looped isolated
-vertices take about 1 s and 33 MiB, and each two more vertices cost
-about 5 times as much.
-"""
-
-
-CENSUS_MAX_N = 7
-"""Largest n that generate.census accepts: 2^28 graphs.
-
-It is kept here, beside ORACLE_MAX_N, so that the CLI's help can quote
-it without loading generate.
-"""
 
 
 class OracleBoundError(ValueError):
@@ -315,6 +297,9 @@ def pressing_length(g: PseudoGraph) -> int:
     looped vertex (Cooper and Davis); otherwise UnpressableError names
     the first component, by smallest label, that has none.
     """
+    # Imported here, its one user, so that recognize runs no cholesky.
+    from .cholesky import UnpressableError
+
     looped = g.looped_vertices()
     for comp in g.components():
         if not comp.trivial and looped.isdisjoint(comp.labels):

@@ -108,4 +108,14 @@ MUTANTS = [
         "bound = min(bound, ORACLE_MAX_N + 1)",
         "brute force lets one size past its cap through to the memo",
     ),
+    (
+        "cli.py",
+        "    except NotOrderPressableError as exc:\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 1\n",
+        "    except NotOrderPressableError as exc:\n"
+        '        print(f"error: {exc}", file=sys.stderr)\n'
+        "        return 2\n",
+        "root exits 2, not 1, on a graph it cannot press in vertex order",
+    ),
 ]

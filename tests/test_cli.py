@@ -34,6 +34,7 @@ from pressgraph import (
     InvalidPressError,
     NotOrderPressableError,
     PseudoGraph,
+    cholesky,
     cli,
     cup_count,
     cup_from_choices,
@@ -41,6 +42,7 @@ from pressgraph import (
     instructional_root,
     iter_support,
     parse_auto,
+    recognition,
     total_count,
     transpose_mul,
 )
@@ -149,7 +151,7 @@ def test_recognize_oracle_cap_overrides_the_flag(monkeypatch):
         loops = "".join(f"{v} {v}\n" for v in range(1, n + 1))
         return f"{n}\n{labels}\n{loops}"
 
-    monkeypatch.setattr(cli, "count_sequences_bruteforce", stand_in)
+    monkeypatch.setattr(recognition, "count_sequences_bruteforce", stand_in)
     assert ORACLE_MAX_N == 16
     text = looped_isolated(ORACLE_MAX_N)
     code, out, _ = run_cli(["recognize", "--oracle-bound", "40", "-"], text)
@@ -161,8 +163,8 @@ def test_recognize_oracle_cap_overrides_the_flag(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("refused input reached the pipeline")
 
-    monkeypatch.setattr(cli, "count_sequences_bruteforce", refuse)
-    monkeypatch.setattr(cli, "recognize", refuse)
+    monkeypatch.setattr(recognition, "count_sequences_bruteforce", refuse)
+    monkeypatch.setattr(recognition, "recognize", refuse)
     n = ORACLE_MAX_N + 1
     text = looped_isolated(n)
     for flag in ("40", str(n)):
@@ -1018,26 +1020,62 @@ def test_cli_import_leaves_out(flags, modules):
 
 @pytest.mark.parametrize("flags", [(), ("-S",)], ids=("site", "no-site"))
 @pytest.mark.parametrize(
-    "statement", ["import pressgraph.cli as cli", "from pressgraph import cli"]
+    "statement, argv, out, ran",
+    [
+        ("import pressgraph.cli as cli", [], "", []),
+        ("from pressgraph import cli", [], "", []),
+        (
+            "from pressgraph import cli",
+            ["press", "--sequence", "1,2", CUP2],
+            "2\n1 2\n",
+            [],
+        ),
+        ("from pressgraph import cli", ["convert", CUP2], "2\n11\n10\n", []),
+        (
+            "from pressgraph import cli",
+            ["recognize", CUP2],
+            "verdict: yes\nsequence: 1 2\n",
+            ["recognition"],
+        ),
+        (
+            "from pressgraph import cli",
+            ["root", CUP2],
+            "2\n11\n01\n",
+            ["cholesky"],
+        ),
+        (
+            "from pressgraph import cli",
+            ["count", "3"],
+            "cup=2 total=5\n",
+            ["generate", "recognition"],
+        ),
+    ],
+    ids=(
+        "import-cli", "from-cli", "press", "convert", "recognize", "root",
+        "count",
+    ),
 )
-def test_cli_import_runs_no_code_of_generate(flags, statement):
-    """Importing the CLI, by either form, runs none of generate's code
-    (an audit hook sees each code object the importer executes), and
-    the parser's census help still quotes the cap; count runs it."""
+def test_each_command_runs_only_its_modules(flags, statement, argv, out, ran):
+    """Importing the CLI, by either form, and building its parser, whose
+    help quotes the census and oracle caps, runs no code of cholesky,
+    recognition or generate (an audit hook sees each code object the
+    importer executes); each command then runs those it uses alone,
+    generate importing recognition."""
     code = (
-        "import sys\n"
-        "ran = []\n"
+        "import os, sys\n"
+        "ran = set()\n"
         "def hook(event, args):\n"
         "    if event == 'exec':\n"
-        "        ran.append(getattr(args[0], 'co_filename', ''))\n"
+        "        ran.add(getattr(args[0], 'co_filename', ''))\n"
         "sys.addaudithook(hook)\n"
         f"{statement}\n"
         "cli._build_parser()\n"
-        "before = sum(f.endswith('generate.py') for f in ran)\n"
-        "cli.main(['count', '3'])\n"
-        "print(before, sum(f.endswith('generate.py') for f in ran))\n"
+        f"code = cli.main({argv!r}) if {argv!r} else 0\n"
+        "home = os.path.dirname(cli.__file__)\n"
+        "lazy = ('cholesky', 'generate', 'recognition')\n"
+        "print(code, [m for m in lazy if f'{home}/{m}.py' in ran])\n"
     )
-    assert _fresh(flags, code) == (0, "cup=2 total=5\n0 1\n")
+    assert _fresh(flags, code) == (0, f"{out}0 {ran!r}\n")
 
 
 def test_star_import_binds_every_public_name():
@@ -1068,15 +1106,20 @@ def test_census_on_workers_from_a_fresh_package(method):
 
 
 def test_package_hook_knows_generate_names_alone():
-    """The package resolves each of generate's public names, and no
-    other, through its __getattr__; dir lists them all."""
+    """The package resolves each public name of its lazy modules,
+    generate, cholesky and recognition, and no other, through its
+    __getattr__; dir lists them all."""
+    lazy = [cholesky, recognition, generate]
     known = [
         c for c in pressgraph.__getattr__.__code__.co_consts
         if isinstance(c, frozenset)
     ]
-    assert known == [frozenset({"__all__", *generate.__all__})]
-    for name in generate.__all__:
-        assert pressgraph.__getattr__(name) is getattr(generate, name)
+    assert known == [
+        frozenset({"__all__", *(n for m in lazy for n in m.__all__)})
+    ]
+    for m in lazy:
+        for name in m.__all__:
+            assert pressgraph.__getattr__(name) is getattr(m, name)
     assert pressgraph.__getattr__("__all__") == pressgraph.__all__
     for name in ("cli", "_cups", "__wrapped__"):
         with pytest.raises(AttributeError, match=exactly(
