@@ -221,7 +221,11 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     The scan and the light press walk ``index``, a list built once per
     call, not a range: ``compress`` then hands out the list's own ints,
     while a range makes a new int for every index above 256 (CPython
-    caches only the small ones) on every step, looped or not.
+    caches only the small ones) on every step, looped or not.  The
+    same list names the nonzero rows that build ``looped``, and a lane
+    string below 256 is read straight from ``_BYTE_LANES``, as
+    ``_lanes`` would: on census-sized graphs the set-up and a call per
+    step cost more than the scan.
     """
     n = len(rows)
     index = [*range(n)]
@@ -230,7 +234,9 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     pivots: list[int] = []
     first_tie: int | None = None
     table, keys = [0], 0
-    looped = sum(r & 1 << i for i, r in enumerate(rows))
+    looped = 0
+    for i in compress(index, rows):
+        looped |= rows[i] & 1 << i
     while looped:
         if not looped & looped - 1:
             # One looped row, so no tie: most steps on census-sized
@@ -240,7 +246,8 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
             best_deg = 0
             tied = False
             kb = keys.to_bytes(n, "little")
-            for i in compress(index, _lanes(looped)):
+            lanes = _BYTE_LANES[looped] if looped < 256 else _lanes(looped)
+            for i in compress(index, lanes):
                 d = (rows[i] ^ table[kb[i]]).bit_count()
                 if d > best_deg:
                     best, best_deg, tied = i, d, False
@@ -255,7 +262,8 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
         pivots.append(pivot)
         if pivot.bit_count() <= 32:
             # _press's loop, inline: a call per press cost census-5 4%.
-            for i in compress(index, _lanes(pivot)):
+            lanes = _BYTE_LANES[pivot] if pivot < 256 else _lanes(pivot)
+            for i in compress(index, lanes):
                 rows[i] ^= pivot
         else:
             table, keys = _defer(rows, table, keys, pivot)

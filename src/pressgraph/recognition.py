@@ -238,6 +238,21 @@ def _decide(
     core: the pivots are its root along the order, and w passes
     properties 1-4, so in press order the core is U^T U for U the band
     of w, one of generate_cup's cups.  Only recognize builds a report.
+
+    A yes needs no component check.  With no tie and no stall every
+    nonzero row is pressed (_greedy), and a press changes only rows of
+    its own component.  A second non-trivial component would be first
+    pressed at some step s >= 2, with no earlier pivot in it, so root
+    column s would hold only its diagonal: an odd weight 1 below the
+    full weight s, which property 4 rejects.  (The scan ties before
+    that.  A component's last pivot zeroes every row it names, so any
+    such row but its own equalled it, looped at the same degree: a tie.
+    So that pivot has weight 1, and when the first component to finish
+    makes its last press, the other still holds a looped row, of
+    degree at least 1: a tie again.)  So the reach only names the
+    reason of a no, which on a disconnected graph would otherwise read
+    TIE or UNPRESSABLE.  It runs first because it is one pass over the
+    rows, where the greedy may run far before it ties.
     """
     first = next(filter(None, rows), 0)
     if not first:
@@ -252,10 +267,10 @@ def _decide(
         return REASON_UNPRESSABLE, None, order, ()
     # With no tie and no stall every nonzero row was pressed (_greedy).
     fails, weights = _check_columns(pivots, order)
-    for num, column in enumerate(fails, 1):
-        if column is not None:
-            return f"PROP{num}", column, order, ()
-    return None, None, order, weights
+    if fails == (None, None, None, None):
+        return None, None, order, weights
+    num, column = next(f for f in enumerate(fails, 1) if f[1] is not None)
+    return f"PROP{num}", column, order, ()
 
 
 def count_sequences_bruteforce(g: PseudoGraph, bound: int = 10) -> int:

@@ -43,6 +43,18 @@ MUTANTS = [
         "property 4 never checks the last column",
     ),
     (
+        "gf2.py",
+        "_BYTE_LANES[pivot] if pivot < 256",
+        "_BYTE_LANES[pivot] if pivot < 512",
+        "the greedy reads a light pivot's lanes off the byte table past 255",
+    ),
+    (
+        "recognition.py",
+        "if fails == (None, None, None, None):",
+        "if fails[0] is None:",
+        "_decide says yes once property 1 holds, whatever 2-4 say",
+    ),
+    (
         "recognition.py",
         "if _reach(rows, first).bit_count() != len(rows) - rows.count(0):",
         "if False:",

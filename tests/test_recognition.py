@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pressgraph import generate, gf2, recognition
+from pressgraph.graphs import _reach
 from pressgraph import (
     BitMatrix,
     OracleBoundError,
@@ -743,6 +744,60 @@ def test_greedy_with_no_tie_and_no_stall_presses_every_nonzero_row():
             g = _scatter(PseudoGraph(labels, g.edges ^ flipped), rng)
         swept += check(g.rows)
     assert swept > 500
+
+
+def test_a_yes_needs_no_component_check():
+    """The connectivity half of a yes, proved in _decide's docstring,
+    on every graph with n <= 5 and a nonzero row.  Where the greedy
+    presses every nonzero row with no tie, the reach covers every
+    nonzero row, also where the columns then pass.  Run past its ties
+    on a disconnected graph that does not stall, the greedy ties; where
+    it still presses every nonzero row, its columns fail property 4,
+    since the second component's first pivot starts a column of weight
+    1."""
+    completed = certified = disconnected = pressed_all = 0
+    for n in range(1, 6):
+        for g in all_pseudographs(n):
+            rows = g.rows
+            first = next(filter(None, rows), 0)
+            if not first:
+                continue
+            nonzero = {i for i, r in enumerate(rows) if r}
+            connected = _reach(rows, first).bit_count() == len(nonzero)
+            order, pivots, first_tie, pressed = gf2._greedy(rows, False)
+            if any(pressed):
+                continue
+            every_row = set(order) == nonzero
+            if not connected:
+                assert first_tie is not None, rows
+                disconnected += 1
+                if every_row:
+                    fails, _ = recognition._check_columns(pivots, order)
+                    assert fails[3] is not None, rows
+                    pressed_all += 1
+            elif first_tie is None:
+                assert every_row, rows
+                fails, _ = recognition._check_columns(pivots, order)
+                completed += 1
+                certified += fails == (None, None, None, None)
+    assert (completed, certified) == (3235, 1387)
+    assert (disconnected, pressed_all) == (4582, 2401)
+
+
+def test_recognize_names_multi_component_where_the_greedy_presses_all():
+    """Two disjoint cups of 40 and 60 vertices, permuted: each alone is
+    uniquely pressable, and the greedy run past its ties presses all 100
+    vertices, with its first tie at step 57.  The reach runs first, so
+    the verdict is MULTI_COMPONENT and nothing is pressed."""
+    rng = random.Random(1)
+    a, b = random_cup(40, rng), random_cup(60, rng)
+    perm = rng.sample(range(100), 100)
+    rows = _permuted_rows([*a.rows, *(r << 40 for r in b.rows)], perm, 0)
+    order, _, first_tie, pressed = gf2._greedy(rows, False)
+    assert (len(order), first_tie, any(pressed)) == (100, 57, False)
+    rep = recognize(PseudoGraph._from_rows(tuple(range(1, 101)), rows))
+    assert rep.to_text() == "verdict: no\nreason: MULTI_COMPONENT\n"
+    assert recognition._decide(rows) == (REASON_MULTI_COMPONENT, None, [], ())
 
 
 def test_recognize_stays_on_the_rows(monkeypatch):
