@@ -312,39 +312,41 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     second form of the press, on pair-masks, beside gf2._press on rows;
     the tests check the one against the other.  For each v, every bit
     of G's mask is a pair of G - v, a vertex of N(v) - v or v's loop;
-    packed into one int, with a flag that v's loop clears, the parts of
-    G's bits XOR to the mask of G - v, the flag and N(v) - v.  So over
-    a block of masks that share their high bits, the index of G_v in
-    the table of the level below is one row, fixed by the high part of
-    N(v) - v, XOR one number d; the flag of an unlooped v indexes a
-    zero half appended to that table.  d sets only the flag and the
-    bits of the high pairs that avoid v, which under lexicographic pair
-    order are the top bits of the index, none below page.  So a row,
+    packed into one int, the parts of G's other bits XOR to the mask of
+    G - v and N(v) - v.  So over a block of masks that share their high
+    bits, the index of G_v in the table of the level below is one row,
+    fixed by the high part of N(v) - v, XOR one number d.  d sets only
+    the bits of the high pairs that avoid v, which under lexicographic
+    pair order are the top bits of the index, none below page.  An
+    unlooped v adds nothing.  A v whose loop lies above the block is
+    skipped on each block where that bit is clear.  One whose loop lies
+    in the block indexes, at an unlooped mask, the spot of its looped
+    twin, which the row's windows mask off (below).  So a row,
     cached per v and high part of N(v) - v, reads a few pages of the
     table below, the same ones moved by d in every block: each block
     joins them into one short table, and the row is cached as each
     mask's spot in it.  The row keeps the low byte of every spot, and
     for each 256-byte window of the joined table an int with byte 0xFF
-    at the masks whose spot lies in that window.  bytes.translate of
-    the low bytes through a window reads a byte there for every mask,
-    and ANDing with that int keeps the masks whose spot it holds, so
-    the reads of all windows add up to the counts, with no index XORed
-    and no int built per mask.  A row is built at its first block by
-    C-level passes of map, bytes and translate, with no Python loop per
-    mask.  The table of the level below is built the same way, upward
-    from n = 0; the level-n masks are streamed.
+    at the masks where v is looped whose spot lies in that window.
+    bytes.translate of the low bytes through a window reads a byte
+    there for every mask, and ANDing with that int keeps the masks
+    whose spot it holds, so the reads of all windows add up to the
+    counts, with no index XORed and no int built per mask.  A row is
+    built at its first block by C-level passes of map, bytes and
+    translate, with no Python loop per mask.  The table of the level
+    below is built the same way, upward from n = 0; the level-n masks
+    are streamed.
     """
     if n == 0:
         yield b"\x01"[lo:hi]
         return
     pairs = _pairs(n)
     index = {pair: 1 << t for t, pair in enumerate(_pairs(n - 1))}
-    # A packed part: a mask below flag, the flag, then N(v) - v from
-    # bit shift up; the bits below shift index the table below.
-    flag = 1 << len(index)
-    shift = len(index) + 1
+    # A packed part: a mask of the level below, then N(v) - v from bit
+    # shift up; the bits below shift index the table below.
+    shift = len(index)
     in_below = (1 << shift) - 1
-    below = b"".join(_counts(n - 1, 0, flag)) + bytes(flag)
+    below = b"".join(_counts(n - 1, 0, 1 << shift))
     # clique[S]: the mask of all pairs inside S, loops included.
     clique = [
         sum(index[i, j] for i in iter_support(s) for j in iter_support(s)
@@ -359,26 +361,33 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
         parts = []
         for i, j in pairs:
             if i == j == v:
-                parts.append(flag)
+                parts.append(0)
             elif v in (i, j):
                 u = i + j - v
                 parts.append(1 << shift + u - 1 - (u > v))
             else:
                 parts.append(index[i - (i > v), j - (j > v)])
-        # low[L]: the XOR of the parts of the bits set in L, and flag.
-        low = [flag]
+        # low[L]: the XOR of the parts of the bits set in L.
+        low = [0]
         for part in parts[:k]:
             low += [x ^ part for x in low]
+        # Byte 0xFF at the low patterns L where v is looped: all of
+        # them if v's loop lies above the block.
+        loop = pairs.index((v, v))
+        looped = -1 if loop >= k else int.from_bytes(
+            (bytes(1 << loop) + b"\xff" * (1 << loop)) * (size >> loop + 1),
+            "little",
+        )
         # The low pairs that avoid v are the first positions of the level
         # below, so d, the high pairs' part, sets no bit under page.
         page = 1 << sum(v not in pair for pair in pairs[:k])
         vertices.append((
             [x & in_below for x in low], [x >> shift for x in low],
-            parts[k:], pairs.index((v, v)), page, {},
+            parts[k:], loop, looped, page, {},
         ))
     for base in range(lo - lo % size, hi, size):
         total = int(base == 0)
-        for low_index, low_set, high, loop, page, by_set in vertices:
+        for low_index, low_set, high, loop, looped, page, by_set in vertices:
             if loop >= k and not base >> loop & 1:
                 continue  # v is unlooped on the whole block
             d = 0
@@ -398,11 +407,13 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
                 lows = bytes(map(and_, spots, itertools.repeat(255)))
                 # Window h of that table is its bytes 256h .. 256h + 255;
                 # translating the spots' high bytes by a table that maps h
-                # alone to 0xFF marks the pair-masks whose spot is there.
+                # alone to 0xFF marks the pair-masks whose spot is there,
+                # and looped keeps those where v is looped.
                 his = bytes(map(rshift, spots, itertools.repeat(8)))
                 windows = [
                     (h << 8, int.from_bytes(his.translate(
-                        bytes(h) + b"\xff" + bytes(255 - h)), "little"))
+                        bytes(h) + b"\xff" + bytes(255 - h)), "little")
+                        & looped)
                     for h in range(max(his) + 1)
                 ]
                 entry = by_set[s] = starts, lows, windows

@@ -198,11 +198,15 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
 
     Presses wait in ``_defer``'s pending state, as in ``_eliminate``.
     The scan and the pivot read rows caught up with it, and every
-    return flushes first.  A pivot of more than 32 bits joins the
-    table, which flushes every row in one C-level pass when 8 wait.
-    A lighter one is XORed straight into the stale rows its bits
-    name: joining costs about what 30 to 60 such XORs cost (an
-    eighth of a flush and the table's doubling, at n = 128 to 2048).
+    return flushes first.  While none waits (``keys`` is 0) they read
+    the rows straight, with no key bytes built and no ``table[0]``
+    XORed: so does every step on census-sized graphs, whose pivots are
+    all light, and every step after a full flush until a pivot joins.
+    A pivot of more than 32 bits joins the table, which flushes every
+    row in one C-level pass when 8 wait.  A lighter one is XORed
+    straight into the stale rows its bits name: joining costs about
+    what 30 to 60 such XORs cost (an eighth of a flush and the table's
+    doubling, at n = 128 to 2048).
     Mixing the two is exact because presses commute as XORs: a press
     adds its pivot to the rows holding bit p, which by symmetry are the
     rows the pivot names, whatever pending terms they still owe.  So
@@ -245,10 +249,13 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
         else:
             best_deg = 0
             tied = False
-            kb = keys.to_bytes(n, "little")
+            # waits is a bool: testing kb's truth per scanned row cost
+            # recognize-cup 2.5% at n = 1024.
+            waits = keys > 0
+            kb = waits and keys.to_bytes(n, "little")
             lanes = _BYTE_LANES[looped] if looped < 256 else _lanes(looped)
             for i in compress(index, lanes):
-                d = (rows[i] ^ table[kb[i]]).bit_count()
+                d = (rows[i] ^ table[kb[i]] if waits else rows[i]).bit_count()
                 if d > best_deg:
                     best, best_deg, tied = i, d, False
                 elif d == best_deg:
@@ -257,7 +264,9 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
                 first_tie = len(order) + 1
                 if stop_at_tie:
                     break
-        pivot = rows[best] ^ table[keys >> 8 * best & 255]
+        pivot = rows[best]
+        if keys:
+            pivot ^= table[keys >> 8 * best & 255]
         order.append(best)
         pivots.append(pivot)
         if pivot.bit_count() <= 32:

@@ -13,8 +13,8 @@ goldens: with blocks of 2^min(_BLOCK_BITS, 2n - 1) masks, raising the
 cap would not keep any level off the page gather.
 
 The window mutant changes nothing on levels up to 5, whose rows read
-one 256-byte window of the joined pages; tier-1 reaches the second and
-third windows only on level 6, through its slice test and census(6).
+one 256-byte window of the joined pages; tier-1 reaches the second
+window only on level 6, through its slice test and census(6).
 """
 
 MUTANTS = [
@@ -53,6 +53,12 @@ MUTANTS = [
         "if fails == (None, None, None, None):",
         "if fails[0] is None:",
         "_decide says yes once property 1 holds, whatever 2-4 say",
+    ),
+    (
+        "gf2.py",
+        "rows[i] ^ table[kb[i]] if waits else rows[i]",
+        "rows[i]",
+        "the greedy's scan reads rows straight while presses wait",
     ),
     (
         "recognition.py",
@@ -101,6 +107,12 @@ MUTANTS = [
         'bytes(h) + b"\\xff"',
         'b"\\xff" * (h + 1)',
         "the census adds each count again through every later window",
+    ),
+    (
+        "generate.py",
+        '"little")\n                        & looped)',
+        '"little"))',
+        "the census counts an unlooped v through its looped twin's spot",
     ),
     (
         "generate.py",

@@ -425,12 +425,15 @@ def test_greedy_equals_the_live_list_greedy_on_random_rows(rows):
 def _watched_greedy(monkeypatch, rows, stop):
     """_greedy(rows, stop) with its table of pending presses watched.
 
-    Returns the 4-tuple and ``(flushes, pending, mixed)``: how often a
-    full table flushed, how many pivots still waited at the return, and
-    whether a pivot pressed straight into its rows came while others
-    waited.  The pivots of one run are distinct (each holds its own
-    bit, which no later row holds), so those that joined the table
-    mark the rest as pressed straight.
+    Returns the 4-tuple and ``(flushes, pending, mixed, fresh)``: how
+    often a full table flushed, how many pivots still waited at the
+    return, whether a pivot pressed straight into its rows came while
+    others waited, and whether the scan read the rows straight after a
+    full flush, over more than one looped row with none waiting.  The
+    pivots of one run are distinct (each holds its own bit, which no
+    later row holds), so those that joined the table mark the rest as
+    pressed straight.  The looped rows before each step are the
+    diagonal bits XORed with the pivots so far.
     """
     joined, flushes, pending = set(), [], []
     real_defer, real_flush = gf2._defer, gf2._flush
@@ -449,22 +452,28 @@ def _watched_greedy(monkeypatch, rows, stop):
         m.setattr(gf2, "_defer", defer)
         m.setattr(gf2, "_flush", flush)
         got = gf2._greedy(rows, stop)
-    waiting, mixed = 0, False
+    waiting, mixed, flushed, fresh = 0, False, False, False
+    looped = sum(r & 1 << i for i, r in enumerate(rows))
     for piv in got[1]:
+        if flushed and not waiting and looped & looped - 1:
+            fresh = True
         if piv in joined:
             waiting = (waiting + 1) % 8
+            flushed = flushed or not waiting
         else:
             mixed = mixed or waiting > 0
-    return got, (sum(flushes), pending[-1], mixed)
+        looped ^= piv
+    return got, (sum(flushes), pending[-1], mixed, fresh)
 
 
 def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
     """Past the sizes the hypothesis rows reach, _greedy returns the
     first four fields of reference_greedy in both modes, and
     find_pressing_order names reference_find_pressing_order's component
-    on a stall.  The seeded cases cross full-table flushes, press light pivots straight
-    while heavy ones wait, and tie in stop mode and stall with pivots
-    still waiting: cups with up to two pairs toggled, and sparse random
+    on a stall.  The seeded cases cross full-table flushes, scan the
+    rows straight right after one, press light pivots straight while
+    heavy ones wait, and tie in stop mode and stall with pivots still
+    waiting: cups with up to two pairs toggled, and sparse random
     graphs, which tie early and mostly stall."""
     seen = set()
     for seed in range(12):
@@ -480,7 +489,7 @@ def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
         else:
             rows = random_symmetric_rows(n, rng.choice((0.01, 0.02)), rng)
         for stop in (False, True):
-            got, (flushes, pending, mixed) = _watched_greedy(
+            got, (flushes, pending, mixed, fresh) = _watched_greedy(
                 monkeypatch, rows, stop
             )
             assert got == reference_greedy(rows, stop)[:4], (seed, stop)
@@ -489,6 +498,8 @@ def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
                 seen.add("flush")
             if mixed:
                 seen.add("mixed")
+            if fresh:
+                seen.add("scan right after a full flush")
             if stop and tie is not None and pending:
                 seen.add("tie, pending")
             if any(pressed) and not stop and pending:
@@ -502,7 +513,10 @@ def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):
             assert exc.value.component == stall.component
             continue
         assert find_pressing_order(g) == PressingOrder(want[0], want[2])
-    assert seen == {"flush", "mixed", "tie, pending", "stall, pending"}
+    assert seen == {
+        "flush", "mixed", "scan right after a full flush", "tie, pending",
+        "stall, pending",
+    }
 
 
 # A word drawn 3:1 toward R; the relabeled cup it builds is the
@@ -526,7 +540,9 @@ def test_cup56_fixture_flushes_the_table_and_keeps_its_sequence(
     g = cup_from_choices(CUP56_WORD)
     g = g.relabel(dict(zip(g.labels, random.Random(45).sample(g.labels, 56))))
     assert path.read_text() == g.to_text()
-    got, (flushes, pending, _) = _watched_greedy(monkeypatch, g.rows, True)
+    got, (flushes, pending, _, _) = _watched_greedy(
+        monkeypatch, g.rows, True
+    )
     assert got == reference_greedy(g.rows, True)[:4]
     assert flushes >= 1 and pending > 0
     code, out, err = run_cli(["recognize", str(path)])
