@@ -44,55 +44,29 @@ del _lazy
 def __getattr__(name: str):
     """Bind the lazy modules' public names and __all__ on first use of one.
 
-    Each module's own __all__ is the one list of its public names; the
-    set below only tells the lazy modules' names apart without running
-    them, and a test holds it to their __all__.  Any other name is
-    missing, as it is from a module without this hook.
+    Each module's own __all__ is the one list of its public names.  A
+    private name, and cli, which ``from pressgraph import cli`` asks for
+    before it imports the module, are refused without running any lazy
+    module.  The names are bound once, so that a later miss rebinds none
+    that a caller has patched.  Any name still missing is missing, as it
+    is from a module without this hook.
     """
-    if name not in {
-        "__all__",
-        "CholeskyRoot",
-        "PressingOrder",
-        "NotOrderPressableError",
-        "UnpressableError",
-        "instructional_root",
-        "find_pressing_order",
-        "PropertyReport",
-        "RecognitionReport",
-        "OracleBoundError",
-        "REASON_MULTI_COMPONENT",
-        "REASON_UNPRESSABLE",
-        "REASON_TIE",
-        "check_properties",
-        "recognize",
-        "count_sequences_bruteforce",
-        "pressing_length",
-        "NotUniquelyPressableError",
-        "extend_right",
-        "extend_left",
-        "generate_cup",
-        "cup_from_choices",
-        "random_cup",
-        "cup_count",
-        "total_count",
-        "all_pseudographs",
-        "canonical_form",
-        "CensusResult",
-        "census",
-    }:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     names = globals()
-    for module in (cholesky, recognition, generate):
-        names.update((key, getattr(module, key)) for key in module.__all__)
-    names["__all__"] = [
-        "__version__",
-        *gf2.__all__,
-        *graphs.__all__,
-        *cholesky.__all__,
-        *recognition.__all__,
-        *generate.__all__,
-    ]
-    return names[name]
+    public = name == "__all__" or not name.startswith("_") and name != "cli"
+    if public and "__all__" not in names:
+        for module in (cholesky, recognition, generate):
+            names.update((key, getattr(module, key)) for key in module.__all__)
+        names["__all__"] = [
+            "__version__",
+            *gf2.__all__,
+            *graphs.__all__,
+            *cholesky.__all__,
+            *recognition.__all__,
+            *generate.__all__,
+        ]
+    if public and name in names:
+        return names[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

@@ -19,54 +19,19 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .gf2 import BitMatrix, _eliminate, _greedy, _Record, iter_support
-from .graphs import PseudoGraph, _reach
+from .graphs import (
+    NotOrderPressableError,
+    PseudoGraph,
+    UnpressableError,
+    _reach,
+)
 
 __all__ = [
     "CholeskyRoot",
     "PressingOrder",
-    "NotOrderPressableError",
-    "UnpressableError",
     "instructional_root",
     "find_pressing_order",
 ]
-
-
-class NotOrderPressableError(ValueError):
-    """Pressing in index order does not empty the graph.
-
-    ``stuck_index`` is the 1-based position of the first vertex that has
-    no loop when its turn comes while edges still remain.
-    """
-
-    def __init__(self, stuck_index: int):
-        self.stuck_index = stuck_index
-        super().__init__(
-            f"not pressable in vertex order: stuck at index {stuck_index}"
-        )
-
-    def __reduce__(self):
-        # args holds the message; rebuild from the index instead.
-        return type(self), (self.stuck_index,)
-
-
-class UnpressableError(ValueError):
-    """Pressing ran out of looped vertices while edges remain.
-
-    ``component`` is one leftover non-trivial component (its labels) at
-    the point where no looped vertex remained.  A uniquely pressable
-    graph never reaches this state; a merely pressable one can, when
-    the max-degree choice strands part of the graph.
-    """
-
-    def __init__(self, component: tuple[int, ...]):
-        self.component = component
-        super().__init__(
-            f"pressing stalled: loopless component {component} remains"
-        )
-
-    def __reduce__(self):
-        # args holds the message; rebuild from the component instead.
-        return type(self), (self.component,)
 
 
 class PressingOrder(_Record):

@@ -23,6 +23,7 @@ from .graphs import (
     CENSUS_MAX_N,
     ORACLE_MAX_N,
     InvalidPressError,
+    NotOrderPressableError,
     PseudoGraph,
     _read,
     parse_auto,
@@ -184,16 +185,12 @@ def _cmd_press(args: argparse.Namespace) -> int:
 
 
 def _cmd_root(args: argparse.Namespace) -> int:
-    from .cholesky import NotOrderPressableError, _root_rows
+    from .cholesky import _root_rows
 
     g = _load_graph(_read_input(args.input), args.format)
     # The rows are symmetric by construction: graph text sets both
     # bits of every edge, and matrix text passed from_adjacency.
-    try:
-        root = _root_rows(list(g.rows))
-    except NotOrderPressableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    root = _root_rows(list(g.rows))
     sys.stdout.write(BitMatrix(g.n, root).to_text())
     return 0
 
@@ -349,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except InvalidPressError as exc:
+    except (InvalidPressError, NotOrderPressableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -346,7 +346,10 @@ def _counts(n: int, lo: int, hi: int) -> Iterator[bytes]:
     # shift up; the bits below shift index the table below.
     shift = len(index)
     in_below = (1 << shift) - 1
-    below = b"".join(_counts(n - 1, 0, 1 << shift))
+    # Appended block by block: a join would also hold every block.
+    below = bytearray()
+    for block in _counts(n - 1, 0, 1 << shift):
+        below += block
     # clique[S]: the mask of all pairs inside S, loops included.
     clique = [
         sum(index[i, j] for i in iter_support(s) for j in iter_support(s)

@@ -25,6 +25,8 @@ __all__ = [
     "GraphFormatError",
     "UnknownVertexError",
     "InvalidPressError",
+    "NotOrderPressableError",
+    "UnpressableError",
     "from_adjacency",
     "parse_graph",
     "parse_auto",
@@ -82,6 +84,44 @@ class InvalidPressError(ValueError):
     def __reduce__(self):
         # args holds the message; rebuild from the fields instead.
         return type(self), (self.vertex, self.position, self.missing)
+
+
+class NotOrderPressableError(ValueError):
+    """Pressing in index order does not empty the graph.
+
+    ``stuck_index`` is the 1-based position of the first vertex that has
+    no loop when its turn comes while edges still remain.
+    """
+
+    def __init__(self, stuck_index: int):
+        self.stuck_index = stuck_index
+        super().__init__(
+            f"not pressable in vertex order: stuck at index {stuck_index}"
+        )
+
+    def __reduce__(self):
+        # args holds the message; rebuild from the index instead.
+        return type(self), (self.stuck_index,)
+
+
+class UnpressableError(ValueError):
+    """Pressing ran out of looped vertices while edges remain.
+
+    ``component`` is one leftover non-trivial component (its labels) at
+    the point where no looped vertex remained.  A uniquely pressable
+    graph never reaches this state; a merely pressable one can, when
+    the max-degree choice strands part of the graph.
+    """
+
+    def __init__(self, component: tuple[int, ...]):
+        self.component = component
+        super().__init__(
+            f"pressing stalled: loopless component {component} remains"
+        )
+
+    def __reduce__(self):
+        # args holds the message; rebuild from the component instead.
+        return type(self), (self.component,)
 
 
 class Component(_Record):

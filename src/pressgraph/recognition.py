@@ -24,7 +24,7 @@ from itertools import compress
 from operator import not_
 
 from .gf2 import BitMatrix, _greedy, _press, _rank, _Record, iter_support
-from .graphs import ORACLE_MAX_N, PseudoGraph, _reach
+from .graphs import ORACLE_MAX_N, PseudoGraph, UnpressableError, _reach
 
 __all__ = [
     "PropertyReport",
@@ -312,9 +312,6 @@ def pressing_length(g: PseudoGraph) -> int:
     looped vertex (Cooper and Davis); otherwise UnpressableError names
     the first component, by smallest label, that has none.
     """
-    # Imported here, its one user, so that recognize runs no cholesky.
-    from .cholesky import UnpressableError
-
     looped = g.looped_vertices()
     for comp in g.components():
         if not comp.trivial and looped.isdisjoint(comp.labels):

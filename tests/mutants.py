@@ -134,12 +134,8 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        "    except NotOrderPressableError as exc:\n"
-        '        print(f"error: {exc}", file=sys.stderr)\n'
-        "        return 1\n",
-        "    except NotOrderPressableError as exc:\n"
-        '        print(f"error: {exc}", file=sys.stderr)\n'
-        "        return 2\n",
+        "except (InvalidPressError, NotOrderPressableError) as exc:",
+        "except InvalidPressError as exc:",
         "root exits 2, not 1, on a graph it cannot press in vertex order",
     ),
 ]

@@ -5,6 +5,7 @@ failure, 2 for parse or usage errors.
 """
 
 import argparse
+import ast
 import hashlib
 import inspect
 import multiprocessing
@@ -1105,29 +1106,68 @@ def test_census_on_workers_from_a_fresh_package(method):
     assert _fresh((), code) == (0, want)
 
 
-def test_package_hook_knows_generate_names_alone():
+def test_package_hook_knows_generate_names_alone(monkeypatch):
     """The package resolves each public name of its lazy modules,
-    generate, cholesky and recognition, and no other, through its
-    __getattr__; dir lists them all."""
-    lazy = [cholesky, recognition, generate]
-    known = [
-        c for c in pressgraph.__getattr__.__code__.co_consts
-        if isinstance(c, frozenset)
-    ]
-    assert known == [
-        frozenset({"__all__", *(n for m in lazy for n in m.__all__)})
-    ]
-    for m in lazy:
+    generate, cholesky and recognition, as their own __all__ lists it,
+    through its __getattr__; cli, a private name and a name no module
+    has are missing, with the plain message, and leave a patched name
+    patched; dir lists them all."""
+    for m in (cholesky, recognition, generate):
         for name in m.__all__:
             assert pressgraph.__getattr__(name) is getattr(m, name)
     assert pressgraph.__getattr__("__all__") == pressgraph.__all__
-    for name in ("cli", "_cups", "__wrapped__"):
+    monkeypatch.setattr(pressgraph, "recognize", None)
+    for name in ("cli", "_cups", "__wrapped__", "no_such_name"):
         with pytest.raises(AttributeError, match=exactly(
             f"module 'pressgraph' has no attribute {name!r}"
         )):
             pressgraph.__getattr__(name)
+    assert pressgraph.recognize is None
     assert set(pressgraph.__all__) <= set(dir(pressgraph))
     assert dir(pressgraph) == sorted(vars(pressgraph))
+
+
+def test_package_hook_refuses_cli_and_private_names_unloaded():
+    """In a fresh interpreter, asking the package for cli or a private
+    name runs no code of a lazy module (an audit hook sees each code
+    object the importer executes); a name then added to a lazy module's
+    __all__ resolves through the package with no other edit."""
+    code = (
+        "import os, sys\n"
+        "ran = set()\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec':\n"
+        "        ran.add(getattr(args[0], 'co_filename', ''))\n"
+        "sys.addaudithook(hook)\n"
+        "import pressgraph\n"
+        "print(hasattr(pressgraph, 'cli'), hasattr(pressgraph, '_x'))\n"
+        "home = os.path.dirname(pressgraph.__file__)\n"
+        "lazy = ('cholesky', 'generate', 'recognition')\n"
+        "print([m for m in lazy if f'{home}/{m}.py' in ran])\n"
+        "pressgraph.generate.extra = 'new'\n"
+        "pressgraph.generate.__all__.append('extra')\n"
+        "print(pressgraph.extra, pressgraph.__all__[-1])\n"
+    )
+    assert _fresh((), code) == (0, "False False\n[]\nnew extra\n")
+
+
+def test_package_reload_keeps_lazy_modules_and_bound_names():
+    """importlib.reload of the package, after a first lookup has bound
+    the lazy modules' names, keeps each lazy module object in sys.modules
+    and in the package, and every public name bound to its value."""
+    code = (
+        "import importlib, sys, pressgraph\n"
+        "names = {n: getattr(pressgraph, n) for n in pressgraph.__all__}\n"
+        "lazy = {m: sys.modules[f'pressgraph.{m}']\n"
+        "        for m in ('cholesky', 'generate', 'recognition')}\n"
+        "importlib.reload(pressgraph)\n"
+        "print([m for m, module in lazy.items()\n"
+        "       if sys.modules[f'pressgraph.{m}'] is not module\n"
+        "       or getattr(pressgraph, m) is not module])\n"
+        "print([n for n, value in names.items()\n"
+        "       if getattr(pressgraph, n) != value])\n"
+    )
+    assert _fresh((), code) == (0, "[]\n[]\n")
 
 
 # ---------------------------------------------------------------- convert
@@ -1208,6 +1248,26 @@ def test_package_exports_the_modules_public_names():
         and getattr(value, "__name__", None) != f"pressgraph.{key}"
     }
     assert others == set(names) - {"__version__"}
+
+
+def test_runtime_imports_the_standard_library_alone():
+    """Every import in the package's source, at module level or in a
+    function body, names a module of the standard library or of
+    pressgraph itself, as each relative import does."""
+    outside = []
+    for path in sorted(Path(pressgraph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [
+                (path.name, top) for top in tops
+                if top not in sys.stdlib_module_names and top != "pressgraph"
+            ]
+    assert outside == []
 
 
 def test_type_hints_resolve_on_every_public_callable():
