@@ -94,6 +94,10 @@ def iter_support(bits: int) -> Iterator[int]:
 
 _LANES = bytes.maketrans(b"01", b"\0\1")
 _BYTE_LANES = [bin(x)[:1:-1].encode().translate(_LANES) for x in range(256)]
+# _SPREAD[t] spells bin(x) as the key bytes of pivot t of a table, read
+# big-endian: bit i of x becomes bit t of byte i, and the "0b" prefix
+# zero bytes above the top bit.
+_SPREAD = [bytes.maketrans(b"01b", bytes((0, 1 << t, 0))) for t in range(8)]
 
 
 def _lanes(x: int) -> bytes:
@@ -119,7 +123,8 @@ def _press(rows: list[int], p: int) -> None:
     allocates nothing there: brute force stops at n <= 16, where every
     index is a cached small int.  The greedy XORs pivots of 32 bits or
     fewer by an inline copy of this loop, over a list of its indices;
-    heavier ones, and the fixed orders, wait in ``_defer``.
+    heavier ones wait in ``_defer``, and the fixed orders in
+    ``_eliminate``'s inline table.
     """
     piv = rows[p]
     for i in compress(range(len(rows)), _lanes(piv)):
@@ -131,12 +136,14 @@ def _defer(
 ) -> tuple[list[int], int]:
     """Add ``piv`` to the pending presses; return the new pending state.
 
-    Up to 8 pivots wait, as in M4RI's Method of Four Russians: ``table``
-    holds the 2^t sums of the t pending pivots, and byte i of ``keys``
-    has bit s equal to bit i of pivot s.  On symmetric rows pivot s was
-    XORed into exactly the rows its bits name, so row i stands for
-    ``rows[i] ^ table[keys >> 8 * i & 255]`` until a flush.  The 8th
-    pivot flushes every row and leaves the table empty, ``([0], 0)``.
+    The greedy's pivots wait, up to 8, as in M4RI's Method of Four
+    Russians: ``table`` holds the 2^t sums of the t pending pivots, and
+    byte i of ``keys`` has bit s equal to bit i of pivot s.
+    ``_eliminate`` keeps the same layout inline, k pivots at a time.
+    On symmetric rows pivot s was XORed into exactly the rows its bits
+    name, so row i stands for ``rows[i] ^ table[keys >> 8 * i & 255]``
+    until a flush.  The 8th pivot flushes every row and leaves the
+    table empty, ``([0], 0)``.
     """
     t = len(table).bit_length() - 1
     keys |= int.from_bytes(_lanes(piv), "little") << t
@@ -161,22 +168,34 @@ def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
 
     Stops before the first entry not looped at its turn; returns the
     rows pressed, each as it was just before its press.  Presses wait
-    in ``_defer``'s table, 8 at a time: each pivot is its row caught up
-    with the pending ones, and every row catches up in one ``_flush``
-    per 8 pivots and one at the end.  Caught-up rows are exact: a press
-    keeps the rows symmetric, so just before press s bit p_s of row i
-    is bit i of pivot s, and every row ends as its start XOR the
-    pivots holding its bit.  That holds for pressed rows, which end at
-    zero, and for rows pressed earlier, which are zero and get key 0.
+    in a table laid out as ``_defer``'s, kept inline: each pivot is its
+    row caught up with the pending ones, and every row catches up in
+    one ``_flush`` per k pivots and one at the end.  k grows with n,
+    k = min(8, max(1, n.bit_length() - 2)), as M4RI sizes its table to
+    the matrix: 6 at n = 192 and 8 from n = 512 up, since on small rows
+    building a table of 2^k sums costs more than the flushes it saves.
+    A pivot's key bits come from its ``bin`` text in one
+    ``_SPREAD[t]`` translate.
+    Caught-up rows are exact: a press keeps the rows symmetric, so just
+    before press s bit p_s of row i is bit i of pivot s, and every row
+    ends as its start XOR the pivots holding its bit.  That holds for
+    pressed rows, which end at zero, and for rows pressed earlier,
+    which are zero and get key 0.
     """
+    k = min(8, max(1, len(rows).bit_length() - 2))
     pivots: list[int] = []
-    table, keys = [0], 0
+    table, keys, t = [0], 0, 0
     for p in order:
         piv = rows[p] ^ table[keys >> 8 * p & 255]
         if not piv >> p & 1:
             break
         pivots.append(piv)
-        table, keys = _defer(rows, table, keys, piv)
+        keys |= int.from_bytes(bin(piv).encode().translate(_SPREAD[t]), "big")
+        table += [x ^ piv for x in table]
+        t += 1
+        if t == k:
+            _flush(rows, table, keys)
+            table, keys, t = [0], 0, 0
     _flush(rows, table, keys)
     return pivots
 
@@ -196,7 +215,7 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     which by symmetry are the rows i whose bit the pivot holds, so
     each of their diagonals flips, row p's included, and no other.
 
-    Presses wait in ``_defer``'s pending state, as in ``_eliminate``.
+    Presses wait in ``_defer``'s pending state, 8 to a table.
     The scan and the pivot read rows caught up with it, and every
     return flushes first.  While none waits (``keys`` is 0) they read
     the rows straight, with no key bytes built and no ``table[0]``

@@ -183,10 +183,16 @@ class PseudoGraph(_Record):
         return frozenset((labels[i], labels[k]) for i, k in self._pairs())
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
-        """Index pairs (i, k), i <= k, of the edges, in ascending order."""
+        """Index pairs (i, k), i <= k, of the edges, in ascending order.
+
+        A row with no bit on or above its diagonal builds no generator:
+        an edgeless graph, which every successful replay prints, would
+        otherwise build one per vertex.
+        """
         for i, r in enumerate(self.rows):
-            for j in iter_support(r >> i):
-                yield i, i + j - 1
+            if r := r >> i:
+                for j in iter_support(r):
+                    yield i, i + j - 1
 
     def _index(self, v: int) -> int:
         try:

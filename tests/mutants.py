@@ -44,6 +44,12 @@ MUTANTS = [
     ),
     (
         "gf2.py",
+        "bytes((0, 1 << t, 0))",
+        "bytes((0, 1 << t, 1))",
+        "_eliminate's key bytes leak a bit into the row above the pivot's",
+    ),
+    (
+        "gf2.py",
         "_BYTE_LANES[pivot] if pivot < 256",
         "_BYTE_LANES[pivot] if pivot < 512",
         "the greedy reads a light pivot's lanes off the byte table past 255",

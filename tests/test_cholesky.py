@@ -108,6 +108,22 @@ def test_root_stuck_across_block_edges(stuck):
     assert instructional_root(transpose_mul(cut)).matrix == cut
 
 
+@pytest.mark.parametrize("n", [7, 8, 15, 16, 127, 128, 255, 256, 511, 512])
+def test_root_checks_out_on_both_sides_of_each_table_size(n):
+    """On both sides of each n where _eliminate's table of pending
+    presses grows, the root of a cup and of a random U^T U, for a unit
+    upper-triangular U, is upper triangular and transpose_mul, which
+    shares no code with the elimination, gives the matrix back."""
+    rng = random.Random(n)
+    cup = cup_from_choices(rng.choice("LR") for _ in range(n - 1))
+    u = BitMatrix(n, [rng.getrandbits(n - i) << i | 1 << i for i in range(n)])
+    for a in (cup.adjacency_matrix(), transpose_mul(u)):
+        root = instructional_root(a).matrix
+        assert root.is_upper_triangular()
+        assert transpose_mul(root) == a
+    assert root == u
+
+
 def test_root_detects_unpressable_order():
     # loop only on vertex 2: order (1, 2) starts on a zero diagonal
     a = PseudoGraph((1, 2), frozenset({(2, 2), (1, 2)})).adjacency_matrix()

@@ -331,9 +331,9 @@ def test_press_unknown_vertex_is_a_dynamics_failure():
 
 def test_press_cup12_crosses_a_block():
     """The 12-vertex fixture is cup_from_choices("RRLRLRRLRLR"), whose
-    unique sequence 1..12 presses it empty across the edge between two
-    blocks of 8; a press of loopless vertex 10 at position 9 exits 1
-    with nothing on standard output."""
+    unique sequence 1..12 presses it empty across the edges between
+    tables of pending presses; a press of loopless vertex 10 at
+    position 9 exits 1 with nothing on standard output."""
     g = cup_from_choices("RRLRLRRLRLR")
     assert Path(CUP12).read_text() == g.to_text()
     assert pressgraph.recognize(g).sequence == tuple(range(1, 13))
@@ -343,6 +343,23 @@ def test_press_cup12_crosses_a_block():
     bad = "1,2,3,4,5,6,7,8,10"
     assert run_cli(["press", "--sequence", bad, CUP12]) == (
         1, "", "error: press 9 invalid: vertex 10 is not looped\n"
+    )
+
+
+@pytest.mark.parametrize("n", [127, 128, 192, 255, 256])
+def test_press_planted_sequence_of_a_permuted_cup(n, tmp_path):
+    """On both sides of a step in the size of the press kernel's table,
+    and at the benchmark's n = 192, press --sequence with the planted
+    sequence of a permuted cup prints the edgeless graph."""
+    rng = random.Random(n)
+    g = cup_from_choices(rng.choice("LR") for _ in range(n - 1))
+    moved = dict(zip(g.labels, rng.sample(g.labels, n)))
+    path = tmp_path / "cup.graph"
+    path.write_text(g.relabel(moved).to_text())
+    seq = ",".join(str(moved[v]) for v in g.labels)
+    edgeless = f"{n}\n{' '.join(map(str, range(1, n + 1)))}\n"
+    assert run_cli(["press", "--sequence", seq, str(path)]) == (
+        0, edgeless, ""
     )
 
 
@@ -570,8 +587,9 @@ def _replays(draw):
 def _long_replays(draw):
     """A graph on 9 to 24 labels from 1..40 and a sequence on it that
     makes a run of at least 9 valid presses, so its replay fills a
-    block of 8 and goes on into the next, then up to two presses of any
-    kind, as _replays draws them.
+    table of pending presses (2 or 3 at these sizes) and goes on into
+    the next, then up to two presses of any kind, as _replays draws
+    them.
 
     The graph is U^T U, for a random unit upper-triangular U, on the
     labels in a random order; pressing in that order empties it, and
@@ -642,7 +660,7 @@ def test_replay_matches_naive_presses(case):
 def test_long_replay_matches_naive_presses(case):
     """As test_replay_matches_naive_presses, on graphs of 9 to 24
     vertices with at least 9 valid presses before any invalid one, so
-    replay presses across the edge between blocks of 8."""
+    replay presses across the edge between tables of pending presses."""
     _assert_replay_matches_naive_presses(*case)
 
 

@@ -360,13 +360,21 @@ def _elimination_case(rng, n, m, stop, tail):
     return moved, [perm[p] for p in order]
 
 
+def _table_pivots(n):
+    """How many pivots _eliminate lets wait on n rows before a flush."""
+    return min(8, max(1, n.bit_length() - 2))
+
+
 @st.composite
 def _eliminations(draw):
     """Symmetric rows on n <= 40 and an order up to 40 long whose first
-    stop falls at entry 1, 8, 9, 16 or 17 (either side of a block edge)
-    or nowhere, as _elimination_case builds them."""
-    stop = draw(st.sampled_from((1, 8, 9, 16, 17, None)))
-    n = draw(st.integers(stop or 0, 40))
+    stop falls at entry 1, at a multiple of _table_pivots(n) or one
+    past it (either side of a flush), or nowhere, as _elimination_case
+    builds them."""
+    n = draw(st.integers(0, 40))
+    k = _table_pivots(n)
+    edges = [s for e in range(k, n + 1, k) for s in (e, e + 1) if s <= n]
+    stop = draw(st.sampled_from([None, *([1] if n else []), *edges]))
     m = draw(st.integers(0, n)) if stop is None else stop - 1
     rng = random.Random(draw(st.integers(0, 2**32)))
     tail = 40 - (stop or 40)
@@ -388,9 +396,9 @@ def _pressed_one_at_a_time(rows, order):
 @settings(max_examples=300, deadline=None)
 @given(case=_eliminations())
 def test_eliminate_equals_one_press_at_a_time(case):
-    """_eliminate, 8 pivots to a table lookup, gives the pivot rows, the
-    stop and the final rows of reference_press applied one pivot at a
-    time."""
+    """_eliminate, _table_pivots(n) pivots to a table lookup, gives the
+    pivot rows, the stop and the final rows of reference_press applied
+    one pivot at a time."""
     rows, order, stop = case
     got_rows = list(rows)
     got = _eliminate(got_rows, order)
@@ -398,12 +406,20 @@ def test_eliminate_equals_one_press_at_a_time(case):
     assert len(got) == (len(order) if stop is None else stop - 1)
 
 
-@pytest.mark.parametrize("n, stop", [(128, 100), (200, 133), (300, 263)])
+@pytest.mark.parametrize(
+    "n, stop",
+    [
+        (127, 100), (128, 100), (200, 133), (255, 200), (256, 200),
+        (300, 263), (511, 300), (512, 300),
+    ],
+)
 def test_eliminate_stops_partway_through_a_table(n, stop, monkeypatch):
-    """At n = 128..300, an order whose first loopless entry comes with
-    pivots still waiting in the table: _eliminate flushes every full
-    table, then the partial one at the stop, and ends with the pivot
-    rows and rows of reference_press applied one pivot at a time."""
+    """At n = 127..512, on both sides of each step of the table size,
+    an order whose first loopless entry comes with pivots still waiting
+    in the table, or at n = 200 right after a flush: _eliminate flushes
+    a table of _table_pivots(n) pivots at a time, then the partial or
+    empty one at the stop, and ends with the pivot rows and rows of
+    reference_press applied one pivot at a time."""
     rows, order = _elimination_case(random.Random(n), n, stop - 1, stop, 40)
     pending, real = [], gf2._flush
 
@@ -416,7 +432,8 @@ def test_eliminate_stops_partway_through_a_table(n, stop, monkeypatch):
     got = _eliminate(got_rows, order)
     assert (got, got_rows) == _pressed_one_at_a_time(rows, order)
     assert len(got) == stop - 1
-    assert pending == [8] * ((stop - 1) // 8) + [(stop - 1) % 8]
+    k = _table_pivots(n)
+    assert pending == [k] * ((stop - 1) // k) + [(stop - 1) % k]
 
 
 @st.composite
@@ -444,9 +461,9 @@ def test_press_reads_its_rows_off_the_pivot_bits(case):
 
 def test_only_gf2_binds_the_pending_press_state():
     """The layout of the pending presses, _defer's table and keys, which
-    _flush reads and _lanes spells, is known to gf2 alone: no other
-    pressgraph module binds those names."""
-    names = {"_defer", "_flush", "_lanes"}
+    _flush reads and _lanes and _SPREAD spell, is known to gf2 alone: no
+    other pressgraph module binds those names."""
+    names = {"_defer", "_flush", "_lanes", "_SPREAD"}
     modules = [pressgraph] + [
         importlib.import_module(f"pressgraph.{info.name}")
         for info in pkgutil.iter_modules(pressgraph.__path__)
