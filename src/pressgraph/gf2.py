@@ -92,23 +92,24 @@ def iter_support(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-_LANES = bytes.maketrans(b"01", b"\0\1")
-_BYTE_LANES = [bin(x)[:1:-1].encode().translate(_LANES) for x in range(256)]
-# _SPREAD[t] spells bin(x) as the key bytes of pivot t of a table, read
-# big-endian: bit i of x becomes bit t of byte i, and the "0b" prefix
-# zero bytes above the top bit.
+# _SPREAD[t] spells bin(x) as the key bytes of pivot t of a table of
+# pending presses (laid out as _flush says), read big-endian: bit i of x
+# becomes bit t of byte i, and the "0b" prefix zero bytes above the top
+# bit.
 _SPREAD = [bytes.maketrans(b"01b", bytes((0, 1 << t, 0))) for t in range(8)]
+_BYTE_LANES = [bin(x)[:1:-1].encode().translate(_SPREAD[0]) for x in range(256)]
 
 
 def _lanes(x: int) -> bytes:
-    """Byte i is bit i of ``x``, up to its top set bit (one byte if 0).
+    """Byte i is bit i of ``x``, up to its top set bit (one byte if 0):
+    the digits of ``bin(x)``, low first, spelled as 0/1 by ``_SPREAD[0]``.
 
     Below 256 it is read from a table: on the small graphs of a census
     the four string passes would cost more than the press they feed.
     """
     if x < 256:
         return _BYTE_LANES[x]
-    return bin(x)[:1:-1].encode().translate(_LANES)
+    return bin(x)[:1:-1].encode().translate(_SPREAD[0])
 
 
 def _press(rows: list[int], p: int) -> None:
@@ -123,41 +124,28 @@ def _press(rows: list[int], p: int) -> None:
     allocates nothing there: brute force stops at n <= 16, where every
     index is a cached small int.  The greedy XORs pivots of 32 bits or
     fewer by an inline copy of this loop, over a list of its indices;
-    heavier ones wait in ``_defer``, and the fixed orders in
-    ``_eliminate``'s inline table.
+    heavier ones, and every press of ``_eliminate``, wait in a table of
+    pending presses instead (see ``_flush``).
     """
     piv = rows[p]
     for i in compress(range(len(rows)), _lanes(piv)):
         rows[i] ^= piv
 
 
-def _defer(
-    rows: list[int], table: list[int], keys: int, piv: int
-) -> tuple[list[int], int]:
-    """Add ``piv`` to the pending presses; return the new pending state.
-
-    The greedy's pivots wait, up to 8, as in M4RI's Method of Four
-    Russians: ``table`` holds the 2^t sums of the t pending pivots, and
-    byte i of ``keys`` has bit s equal to bit i of pivot s.
-    ``_eliminate`` keeps the same layout inline, k pivots at a time.
-    On symmetric rows pivot s was XORed into exactly the rows its bits
-    name, so row i stands for ``rows[i] ^ table[keys >> 8 * i & 255]``
-    until a flush.  The 8th pivot flushes every row and leaves the
-    table empty, ``([0], 0)``.
-    """
-    t = len(table).bit_length() - 1
-    keys |= int.from_bytes(_lanes(piv), "little") << t
-    table += [x ^ piv for x in table]
-    if len(table) < 256:
-        return table, keys
-    _flush(rows, table, keys)
-    return [0], 0
-
-
 def _flush(rows: list[int], table: list[int], keys: int) -> None:
-    """Catch every row up with the pending presses, in place: row i XORs
-    in the table entry that byte i of ``keys`` names, in one C-level
-    pass.  With nothing pending (``keys`` is 0) no row is visited."""
+    """Catch every row up with the pending presses, in place.
+
+    Both press loops keep their pending presses in this layout, from
+    M4RI's Method of Four Russians: ``table`` holds the 2^t sums of the
+    t pending pivots, t <= 8, and byte i of ``keys`` has bit s equal to
+    bit i of pivot s.  Pivot t joins by ORing its ``_SPREAD[t]`` key
+    bytes into ``keys`` and appending the table XOR itself.  On
+    symmetric rows pivot s was XORed into exactly the rows its bits
+    name, so row i stands for ``rows[i] ^ table[keys >> 8 * i & 255]``
+    until a flush, which XORs that entry into every row in one C-level
+    pass; the caller then starts an empty table, ``[0]`` with ``keys``
+    0.  With nothing pending (``keys`` is 0) no row is visited.
+    """
     if keys:
         lookup = map(table.__getitem__, keys.to_bytes(len(rows), "little"))
         rows[:] = map(xor, rows, lookup)
@@ -168,14 +156,12 @@ def _eliminate(rows: list[int], order: Sequence[int]) -> list[int]:
 
     Stops before the first entry not looped at its turn; returns the
     rows pressed, each as it was just before its press.  Presses wait
-    in a table laid out as ``_defer``'s, kept inline: each pivot is its
-    row caught up with the pending ones, and every row catches up in
+    in a table laid out as ``_flush`` says, kept inline: each pivot is
+    its row caught up with the pending ones, and every row catches up in
     one ``_flush`` per k pivots and one at the end.  k grows with n,
     k = min(8, max(1, n.bit_length() - 2)), as M4RI sizes its table to
     the matrix: 6 at n = 192 and 8 from n = 512 up, since on small rows
     building a table of 2^k sums costs more than the flushes it saves.
-    A pivot's key bits come from its ``bin`` text in one
-    ``_SPREAD[t]`` translate.
     Caught-up rows are exact: a press keeps the rows symmetric, so just
     before press s bit p_s of row i is bit i of pivot s, and every row
     ends as its start XOR the pivots holding its bit.  That holds for
@@ -215,7 +201,8 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     which by symmetry are the rows i whose bit the pivot holds, so
     each of their diagonals flips, row p's included, and no other.
 
-    Presses wait in ``_defer``'s pending state, 8 to a table.
+    Presses wait in a table laid out as ``_flush`` says, kept inline as
+    ``_eliminate`` keeps its own, 8 to a table at every n.
     The scan and the pivot read rows caught up with it, and every
     return flushes first.  While none waits (``keys`` is 0) they read
     the rows straight, with no key bytes built and no ``table[0]``
@@ -256,7 +243,7 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
     order: list[int] = []
     pivots: list[int] = []
     first_tie: int | None = None
-    table, keys = [0], 0
+    table, keys, t = [0], 0, 0
     looped = 0
     for i in compress(index, rows):
         looped |= rows[i] & 1 << i
@@ -294,7 +281,14 @@ def _greedy(rows: Sequence[int], stop_at_tie: bool) -> tuple:
             for i in compress(index, lanes):
                 rows[i] ^= pivot
         else:
-            table, keys = _defer(rows, table, keys, pivot)
+            keys |= int.from_bytes(
+                bin(pivot).encode().translate(_SPREAD[t]), "big"
+            )
+            table += [x ^ pivot for x in table]
+            t += 1
+            if t == 8:
+                _flush(rows, table, keys)
+                table, keys, t = [0], 0, 0
         looped ^= pivot
     _flush(rows, table, keys)
     return order, pivots, first_tie, rows

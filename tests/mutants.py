@@ -7,6 +7,10 @@ tier-1 against it.  A new decision path adds one entry here.
 
 Left out: the greedy's light-pivot threshold set to 0.  It changes no
 result; only a test that spies on which path the greedy takes sees it.
+Also left out: a mutant that drops the greedy's catch-up of its pivot
+with the pending presses, or spells its keys in slot 0 of the table.
+Either makes ``looped`` never empty, so the greedy's lists grow without
+bound: one such tier-1 run passed 4.8 GB before it was killed.
 
 The page mutant needs no larger _BLOCK_BITS to hide it from the census
 goldens: with blocks of 2^min(_BLOCK_BITS, 2n - 1) masks, raising the
@@ -143,5 +147,11 @@ MUTANTS = [
         "except (InvalidPressError, NotOrderPressableError) as exc:",
         "except InvalidPressError as exc:",
         "root exits 2, not 1, on a graph it cannot press in vertex order",
+    ),
+    (
+        "gf2.py",
+        "            if t == 8:\n",
+        "            if t == 9:\n",
+        "the greedy lets a 9th pivot join a full table",
     ),
 ]

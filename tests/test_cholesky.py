@@ -448,24 +448,22 @@ def _watched_greedy(monkeypatch, rows, stop):
     full flush, over more than one looped row with none waiting.  The
     pivots of one run are distinct (each holds its own bit, which no
     later row holds), so those that joined the table mark the rest as
-    pressed straight.  The looped rows before each step are the
-    diagonal bits XORed with the pivots so far.
+    pressed straight.  Only _flush is watched: a table of t pivots
+    holds pivot s at entry 1 << s, every call but the last flushes a
+    full table, and the last one's t pivots still waited at the return.
+    The looped rows before each step are the diagonal bits XORed with
+    the pivots so far.
     """
-    joined, flushes, pending = set(), [], []
-    real_defer, real_flush = gf2._defer, gf2._flush
-
-    def defer(rows, table, keys, piv):
-        joined.add(piv)
-        table, keys = real_defer(rows, table, keys, piv)
-        flushes.append(keys == 0)
-        return table, keys
+    joined, counts = set(), []
+    real_flush = gf2._flush
 
     def flush(rows, table, keys):
-        pending.append(len(table).bit_length() - 1)
+        t = len(table).bit_length() - 1
+        joined.update(table[1 << s] for s in range(t))
+        counts.append(t)
         real_flush(rows, table, keys)
 
     with monkeypatch.context() as m:
-        m.setattr(gf2, "_defer", defer)
         m.setattr(gf2, "_flush", flush)
         got = gf2._greedy(rows, stop)
     waiting, mixed, flushed, fresh = 0, False, False, False
@@ -479,7 +477,7 @@ def _watched_greedy(monkeypatch, rows, stop):
         else:
             mixed = mixed or waiting > 0
         looped ^= piv
-    return got, (sum(flushes), pending[-1], mixed, fresh)
+    return got, (len(counts) - 1, counts[-1], mixed, fresh)
 
 
 def test_greedy_equals_the_live_list_greedy_at_n_128_to_300(monkeypatch):

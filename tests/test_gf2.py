@@ -460,10 +460,10 @@ def test_press_reads_its_rows_off_the_pivot_bits(case):
 
 
 def test_only_gf2_binds_the_pending_press_state():
-    """The layout of the pending presses, _defer's table and keys, which
+    """The layout of the pending presses, the table and keys which
     _flush reads and _lanes and _SPREAD spell, is known to gf2 alone: no
     other pressgraph module binds those names."""
-    names = {"_defer", "_flush", "_lanes", "_SPREAD"}
+    names = {"_flush", "_lanes", "_SPREAD"}
     modules = [pressgraph] + [
         importlib.import_module(f"pressgraph.{info.name}")
         for info in pkgutil.iter_modules(pressgraph.__path__)
